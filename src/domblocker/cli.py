@@ -16,7 +16,7 @@ from typing import Optional
 
 import click
 
-from . import reductions, verify
+from . import reductions, smallgraphs, verify
 from .cnf import (
     CnfError,
     emit_dimacs_cnf,
@@ -227,7 +227,13 @@ def _run_one_suite(args):
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice(sorted(verify.SUITES) + ["all"]))
-@click.option("--max-n", type=int, default=6, show_default=True, help="Exhaustive corpus size (contraction suite).")
+@click.option(
+    "--max-n",
+    type=click.IntRange(1, smallgraphs.MAX_EXHAUSTIVE_N),
+    default=6,
+    show_default=True,
+    help="Exhaustive corpus size (contraction suite).",
+)
 @click.option("--random-count", type=int, default=200, show_default=True, help="Random corpus size (contraction suite).")
 @click.option("--seed", type=int, default=2024, show_default=True)
 @click.option("--budget", type=int, default=None, callback=_validate_budget, help="Search-node budget (default: DOMBLOCKER_BUDGET).")

@@ -364,26 +364,6 @@ def is_pk_free(g: LabeledGraph, k: int, budget: Optional[int] = None) -> Induced
     return find_induced_path(g, k, budget)
 
 
-def connected_components(g: LabeledGraph) -> list[list[int]]:
-    """Vertex lists of the connected components, each sorted, ordered by minimum."""
-    seen: set[int] = set()
-    comps = []
-    for v in range(g.n):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for w in g.adj[x]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
-
-
 def induced_subgraph(g: LabeledGraph, vertices: Iterable[int]) -> LabeledGraph:
     """Subgraph induced by the given vertices, renumbered densely in sorted order."""
     verts = sorted(set(vertices))

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import networkx as nx
@@ -13,35 +14,63 @@ from domblocker.smallgraphs import (
 )
 
 
+@functools.cache
+def _atlas(n):
+    # the atlas lists every graph on up to 7 vertices
+    return [g for g in nx.graph_atlas_g() if g.number_of_nodes() == n]
+
+
+def _to_nx(g):
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(g.n))
+    return h
+
+
+def _invariant(h):
+    # each vertex's degree with its neighbours' degrees, as a sorted sequence
+    return tuple(sorted((h.degree(v), tuple(sorted(h.degree(u) for u in h[v]))) for v in h))
+
+
+def _buckets(graphs):
+    buckets = {}
+    for h in graphs:
+        buckets.setdefault(_invariant(h), []).append(h)
+    return buckets
+
+
 class TestEnumeration:
     def test_connected_counts(self):
         # known sequence of connected graphs up to isomorphism
-        assert [len(connected_graphs(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+        assert [len(connected_graphs(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
 
     def test_all_counts(self):
-        assert [len(all_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+        assert [len(all_graphs(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
 
     def test_counts_match_reference_atlas(self):
-        # the atlas lists every graph on up to 7 vertices
-        atlas = nx.graph_atlas_g()
-        for n in range(1, 7):
-            reference = sum(
-                1
-                for g in atlas
-                if g.number_of_nodes() == n and nx.is_connected(g)
-            )
-            assert len(connected_graphs(n)) == reference
+        for n in range(1, 8):
+            reference = _atlas(n)
+            assert len(all_graphs(n)) == len(reference)
+            assert len(connected_graphs(n)) == sum(1 for g in reference if nx.is_connected(g))
 
     def test_members_connected_and_pairwise_nonisomorphic(self):
-        for n in (4, 5):
-            graphs = connected_graphs(n)
-            assert all(g.is_connected() for g in graphs)
-            as_nx = [nx.Graph(g.edges()) for g in graphs]
-            for nxg in as_nx:
-                nxg.add_nodes_from(range(n))
-            for i in range(len(as_nx)):
-                for j in range(i + 1, len(as_nx)):
-                    assert not nx.is_isomorphic(as_nx[i], as_nx[j])
+        for listing in (connected_graphs, all_graphs):
+            for n in range(1, 8):
+                graphs = listing(n)
+                if listing is connected_graphs:
+                    assert all(g.is_connected() for g in graphs)
+                for bucket in _buckets(_to_nx(g) for g in graphs).values():
+                    for i in range(len(bucket)):
+                        for j in range(i + 1, len(bucket)):
+                            assert not nx.is_isomorphic(bucket[i], bucket[j])
+
+    def test_every_atlas_class_has_a_representative(self):
+        for n in range(1, 8):
+            everything = _buckets(_to_nx(g) for g in all_graphs(n))
+            connected = _buckets(_to_nx(g) for g in connected_graphs(n))
+            for ref in _atlas(n):
+                assert any(nx.is_isomorphic(ref, h) for h in everything[_invariant(ref)])
+                if nx.is_connected(ref):
+                    assert any(nx.is_isomorphic(ref, h) for h in connected[_invariant(ref)])
 
     def test_upto_totals(self):
         assert len(connected_graphs_upto(6)) == 143
