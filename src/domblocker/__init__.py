@@ -36,7 +36,6 @@ from .domination import (
     all_efficient_md,
     all_independent_md,
     blocker_report,
-    can_k_contract,
     ct_gamma,
     domination_number,
     enumerate_minimum_dominating_sets,

@@ -9,7 +9,6 @@ Machine output is JSON; exit codes: 0 success/pass, 1 fail or counterexample,
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import sys
 from typing import Optional
@@ -220,11 +219,6 @@ def cmd_solve(input_path, fmt, what, budget, output):
     _write_text(output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _run_one_suite(args):
-    name, kwargs = args
-    return [v.to_json_dict() for v in verify.run_suite(name, **kwargs)]
-
-
 @main.command("verify")
 @click.argument("suite", type=click.Choice(sorted(verify.SUITES) + ["all"]))
 @click.option(
@@ -237,10 +231,8 @@ def _run_one_suite(args):
 @click.option("--random-count", type=int, default=200, show_default=True, help="Random corpus size (contraction suite).")
 @click.option("--seed", type=int, default=2024, show_default=True)
 @click.option("--budget", type=int, default=None, callback=_validate_budget, help="Search-node budget (default: DOMBLOCKER_BUDGET).")
-@click.option("--threads", type=int, default=1, show_default=True, help="Parallel workers across suites (verify only).")
-@click.option("--canonical/--no-canonical", default=True, show_default=True, help="Deterministic single-threaded witnesses.")
 @click.option("-o", "--output", default="-", show_default=True)
-def cmd_verify(suite, max_n, random_count, seed, budget, threads, canonical, output):
+def cmd_verify(suite, max_n, random_count, seed, budget, output):
     """Run a verification suite; exit 0 only if every check passes."""
     budget = budget if budget is not None else _default_budget()
     common = {"budget": budget}
@@ -251,15 +243,9 @@ def cmd_verify(suite, max_n, random_count, seed, budget, threads, canonical, out
         "p7": {**common},
     }
     names = sorted(verify.SUITES) if suite == "all" else [suite]
-    jobs = [(name, per_suite[name]) for name in names]
-    if threads > 1 and canonical:
-        click.echo("note: --threads ignored in canonical mode", err=True)
-    if threads > 1 and not canonical and len(jobs) > 1:
-        with multiprocessing.Pool(min(threads, len(jobs))) as pool:
-            results = pool.map(_run_one_suite, jobs)
-        verdicts = [v for chunk in results for v in chunk]
-    else:
-        verdicts = [v for job in jobs for v in _run_one_suite(job)]
+    verdicts = [
+        v.to_json_dict() for name in names for v in verify.run_suite(name, **per_suite[name])
+    ]
     _write_text(output, json.dumps(verdicts, indent=2, sort_keys=True) + "\n")
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for v in verdicts:

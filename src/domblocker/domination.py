@@ -12,6 +12,21 @@ applies the standard exact reductions (forced unique dominators, candidate
 dominance, element dominance) and solves decoupled residual components
 independently; enumeration mode keeps only the reductions that preserve the
 full solution set, so it visits every minimum dominating set exactly once.
+Both share one ``reduce``; the enumerator switches candidate dominance off.
+
+Vertex sets are int bitmasks, walked in ascending vertex order. The outer
+loops of the reductions, the lower bound and the branching walk dense masks
+(the undominated and the available vertices, up to n bits), so they decode
+each one into a list in a single pass over its ``bin()`` string. The inner
+dominance loops ask "which two-hop neighbours of y are still in the mask?":
+they walk a per-vertex list of two-hop neighbours, built once per search from
+the adjacency sets, and test one bit per entry instead of decoding
+``two[y] & mask``; the fractional bound reads closed neighbourhoods from the
+adjacency sets the same way. Sparse masks (a branch set, a component
+frontier, a solution) go through the ``_bits`` generator, which costs per set
+bit rather than per bit position. Every walk keeps ascending order where order
+matters, so the choice changes the cost of a node, never which nodes the
+search visits.
 
 Everything is deterministic: ties break toward the lowest vertex id.
 """
@@ -97,29 +112,47 @@ def set_edges(g: LabeledGraph, s: frozenset[int] | set[int]) -> list[tuple[int, 
 
 
 def _bits(mask: int) -> Iterator[int]:
+    """Set bits of a sparse mask, ascending (a branch set, a solution)."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
 
 
+def _bit_list(mask: int) -> list[int]:
+    """Set bits of a dense mask, ascending, decoded in one pass over bin()."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
 class _Search:
-    """Shared machinery for the optimizer and the enumerator."""
+    """Shared machinery for the optimizer and the enumerator.
+
+    ``solution_preserving`` selects the reductions: the enumerator must keep
+    every minimum dominating set, so it skips candidate dominance.
+    """
+
+    solution_preserving = False
 
     def __init__(self, g: LabeledGraph, budget: Optional[int]):
         self.g = g
-        self.nb = g.closed_masks
+        self.nb = nb = g.closed_masks
         self.n = g.n
         self.full = (1 << g.n) - 1
         self.budget = budget
         self.nodes = 0
         two = []
-        for v in range(g.n):
-            reach = 0
-            for w in _bits(self.nb[v]):
-                reach |= self.nb[w]
+        near = []
+        for v, adj in enumerate(g.adj):
+            reach = nb[v]
+            hop = set(adj)
+            for w in adj:
+                reach |= nb[w]
+                hop |= g.adj[w]
+            hop.discard(v)
             two.append(reach)
-        self.two = two
+            near.append(sorted(hop))
+        self.two = two  # closed two-hop masks, for component splits
+        self.near = near  # two-hop neighbours without v itself, ascending
 
     def tick(self):
         self.nodes += 1
@@ -140,10 +173,76 @@ class _Search:
             und &= ~self.nb[best_v]
         return chosen
 
+    def reduce(self, und: int, avail: int) -> Optional[tuple[int, int, int]]:
+        """Apply the exact reductions to a fixpoint; (forced, und, avail) or None.
+
+        Each pass takes forced unique dominators, then (unless
+        solution_preserving) drops dominated candidates, then drops
+        automatically dominated vertices.
+        """
+        nb = self.nb
+        near = self.near
+        candidate_dominance = not self.solution_preserving
+        changed = True
+        forced = 0
+        while changed:
+            changed = False
+            for v in _bit_list(und):
+                if not und >> v & 1:
+                    continue  # removed by an earlier forced take in this pass
+                live = nb[v] & avail
+                if not live:
+                    return None
+                if not live & (live - 1):
+                    d = live.bit_length() - 1
+                    forced |= live
+                    und &= ~nb[d]
+                    avail &= ~live
+                    changed = True
+            if not und:
+                break
+            if candidate_dominance:
+                # y is useless if some kept x covers a superset
+                for y in _bit_list(avail):
+                    if not avail >> y & 1:
+                        continue
+                    cy = nb[y] & und
+                    if not cy:
+                        avail &= ~(1 << y)
+                        changed = True
+                        continue
+                    for x in near[y]:
+                        if not avail >> x & 1:
+                            continue
+                        cx = nb[x] & und
+                        if cy & ~cx:
+                            continue
+                        if cy != cx or x < y:
+                            avail &= ~(1 << y)
+                            changed = True
+                            break
+            # element dominance: v is automatically dominated once u is
+            for v in _bit_list(und):
+                if not und >> v & 1:
+                    continue
+                lv = nb[v] & avail
+                for u in near[v]:
+                    if not und >> u & 1:
+                        continue
+                    lu = nb[u] & avail
+                    if lu & ~lv:
+                        continue
+                    if lu != lv or u < v:
+                        und &= ~(1 << v)
+                        changed = True
+                        break
+        return forced, und, avail
+
     def lower_bound(self, und: int, avail: int) -> int:
         nb = self.nb
         order = []
-        for v in _bits(und):
+        und_list = _bit_list(und)
+        for v in und_list:
             live = nb[v] & avail
             if not live:
                 return self.n + 1  # this vertex can never be dominated
@@ -157,20 +256,34 @@ class _Search:
                 blocked |= live
         # fractional dual: weight 1/c_v where c_v is the best single-candidate
         # coverage available to v; feasible because each candidate's weights
-        # then sum to at most 1.
-        maxcov = {}
-        for x in _bits(avail):
-            cov = nb[x] & und
-            c = cov.bit_count()
+        # then sum to at most 1. Entries outside und are written, never read.
+        maxcov = [0] * self.n
+        adj = self.g.adj
+        for x in _bit_list(avail):
+            c = (nb[x] & und).bit_count()
             if not c:
                 continue
-            for v in _bits(cov):
-                if maxcov.get(v, 0) < c:
+            if maxcov[x] < c:
+                maxcov[x] = c
+            for v in adj[x]:
+                if maxcov[v] < c:
                     maxcov[v] = c
         total = 0.0
-        for v in _bits(und):
+        for v in und_list:
             total += 1.0 / maxcov[v]
         return max(packed, math.ceil(total - 1e-9))
+
+    def branch_set(self, und: int, avail: int) -> int:
+        """Branch set: the live dominators of the most constrained vertex."""
+        best_count, branch_live = self.n + 2, 0
+        for v in _bit_list(und):
+            live = self.nb[v] & avail
+            c = live.bit_count()
+            if c < best_count:
+                best_count, branch_live = c, live
+                if c == 1:
+                    break
+        return branch_live
 
     def split_components(self, und: int) -> list[int]:
         """Partition und into masks no candidate can cover across.
@@ -195,63 +308,6 @@ class _Search:
 
 
 class _Optimizer(_Search):
-    def reduce(self, und: int, avail: int) -> Optional[tuple[int, int, int]]:
-        """Apply value-preserving reductions; returns (forced, und, avail) or None."""
-        nb = self.nb
-        changed = True
-        forced = 0
-        while changed:
-            changed = False
-            for v in _bits(und):
-                if not und & (1 << v):
-                    continue  # removed by an earlier forced take in this pass
-                live = nb[v] & avail
-                if not live:
-                    return None
-                if not live & (live - 1):
-                    d = live.bit_length() - 1
-                    forced |= live
-                    und &= ~nb[d]
-                    avail &= ~live
-                    changed = True
-            if not und:
-                break
-            # candidate dominance: y is useless if some kept x covers a superset
-            for y in _bits(avail):
-                if not avail & (1 << y):
-                    continue
-                cy = nb[y] & und
-                if not cy:
-                    avail &= ~(1 << y)
-                    changed = True
-                    continue
-                for x in _bits(self.two[y] & avail):
-                    if x == y:
-                        continue
-                    cx = nb[x] & und
-                    if cy & ~cx:
-                        continue
-                    if cy != cx or x < y:
-                        avail &= ~(1 << y)
-                        changed = True
-                        break
-            # element dominance: v is automatically dominated once u is
-            for v in _bits(und):
-                if not und & (1 << v):
-                    continue
-                lv = nb[v] & avail
-                for u in _bits(self.two[v] & und):
-                    if u == v:
-                        continue
-                    lu = nb[u] & avail
-                    if lu & ~lv:
-                        continue
-                    if lu != lv or u < v:
-                        und &= ~(1 << v)
-                        changed = True
-                        break
-        return forced, und, avail
-
     def min_dominating(self, und: int, avail: int, limit: int) -> Optional[tuple[int, int]]:
         """Exact minimum (size, mask) dominating und from avail, or None if > limit."""
         if not und:
@@ -295,15 +351,7 @@ class _Optimizer(_Search):
             return None
         if self.lower_bound(und, avail) > limit:
             return None
-        # branch over the live dominators of the most constrained vertex
-        best_count, branch_live = self.n + 2, 0
-        for v in _bits(und):
-            live = self.nb[v] & avail
-            c = live.bit_count()
-            if c < best_count:
-                best_count, branch_live = c, live
-                if c == 1:
-                    break
+        branch_live = self.branch_set(und, avail)
         best: Optional[tuple[int, int]] = None
         sub_avail = avail
         for v in _bits(branch_live):
@@ -347,45 +395,11 @@ class _Enumerator(_Search):
     so they stay out.
     """
 
+    solution_preserving = True
+
     def __init__(self, g: LabeledGraph, gamma: int, budget: Optional[int]):
         super().__init__(g, budget)
         self.gamma = gamma
-
-    def reduce(self, und: int, avail: int) -> Optional[tuple[int, int, int]]:
-        nb = self.nb
-        changed = True
-        forced = 0
-        while changed:
-            changed = False
-            for v in _bits(und):
-                if not und & (1 << v):
-                    continue
-                live = nb[v] & avail
-                if not live:
-                    return None
-                if not live & (live - 1):
-                    d = live.bit_length() - 1
-                    forced |= live
-                    und &= ~nb[d]
-                    avail &= ~live
-                    changed = True
-            if not und:
-                break
-            for v in _bits(und):
-                if not und & (1 << v):
-                    continue
-                lv = nb[v] & avail
-                for u in _bits(self.two[v] & und):
-                    if u == v:
-                        continue
-                    lu = nb[u] & avail
-                    if lu & ~lv:
-                        continue
-                    if lu != lv or u < v:
-                        und &= ~(1 << v)
-                        changed = True
-                        break
-        return forced, und, avail
 
     def visit_all(self, emit: Callable[[frozenset[int]], bool]) -> bool:
         """Runs the search; emit returns False to stop early. Returns completion."""
@@ -410,16 +424,8 @@ class _Enumerator(_Search):
             return True
         if size + self.lower_bound(und, avail) > self.gamma:
             return True
-        best_count, branch_live = self.n + 2, 0
-        for v in _bits(und):
-            live = self.nb[v] & avail
-            c = live.bit_count()
-            if c < best_count:
-                best_count, branch_live = c, live
-                if c == 1:
-                    break
         sub_avail = avail
-        for v in _bits(branch_live):
+        for v in _bits(self.branch_set(und, avail)):
             sub_avail &= ~(1 << v)
             if not self._rec(chosen | (1 << v), und & ~self.nb[v], sub_avail, emit):
                 return False
@@ -490,8 +496,13 @@ def all_efficient_md(g: LabeledGraph, budget: Optional[int] = None) -> Decision:
     return Decision(not bad, bad[0] if bad else None)
 
 
-def all_independent_md(g: LabeledGraph, budget: Optional[int] = None) -> Decision:
-    """Is every minimum dominating set independent? Witness: a non-independent MDS."""
+def all_independent_md(
+    g: LabeledGraph, budget: Optional[int] = None, gamma: Optional[int] = None
+) -> Decision:
+    """Is every minimum dominating set independent? Witness: a non-independent MDS.
+
+    ``gamma``, when the caller has already solved it, saves the solve.
+    """
     if not g.is_connected():
         raise GraphError("decider requires a connected graph")
     bad: list[frozenset[int]] = []
@@ -502,7 +513,7 @@ def all_independent_md(g: LabeledGraph, budget: Optional[int] = None) -> Decisio
             return False
         return True
 
-    visit_minimum_dominating_sets(g, check, budget)
+    visit_minimum_dominating_sets(g, check, budget, gamma)
     return Decision(not bad, bad[0] if bad else None)
 
 
@@ -518,7 +529,7 @@ def one_contraction_decision(g: LabeledGraph, budget: Optional[int] = None) -> D
     gamma = domination_number(g, budget).gamma
     if gamma == 1:
         return Decision(False)
-    verdict = all_independent_md(g, budget)
+    verdict = all_independent_md(g, budget, gamma)
     if verdict.holds:
         return Decision(False)
     witness_set = verdict.witness
@@ -536,11 +547,6 @@ def one_contraction_definitional(g: LabeledGraph, budget: Optional[int] = None) 
         if domination_number(contracted, budget).gamma < gamma:
             return Decision(True, (u, v))
     return Decision(False)
-
-
-def can_k_contract(g: LabeledGraph, k: int, budget: Optional[int] = None) -> bool:
-    """Decision view: can at most k contractions decrease the domination number?"""
-    return ct_gamma(g, max_k=k, budget=budget) != CT_IMPOSSIBLE
 
 
 def ct_gamma(g: LabeledGraph, max_k: int = 3, budget: Optional[int] = None) -> int | str:

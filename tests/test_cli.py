@@ -224,10 +224,3 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "contraction", "--max-n", max_n])
         assert result.exit_code == 2
         assert "1<=x<=7" in result.output
-
-    def test_parallel_all_matches_sequential(self, runner):
-        args = ["verify", "all", "--max-n", "4", "--random-count", "2"]
-        sequential = runner.invoke(main, args)
-        parallel = runner.invoke(main, args + ["--threads", "2", "--no-canonical"])
-        assert sequential.exit_code == 0 and parallel.exit_code == 0
-        assert sequential.stdout == parallel.stdout

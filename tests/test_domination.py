@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,6 @@ from domblocker import (
     all_efficient_md,
     all_independent_md,
     blocker_report,
-    can_k_contract,
     complete_graph,
     ct_gamma,
     cycle_graph,
@@ -25,13 +26,31 @@ from domblocker import (
     one_contraction_definitional,
     star_graph,
 )
+from domblocker import domination
+from domblocker.cnf import satisfiable_fixture, unsatisfiable_fixture
+from domblocker.reductions import build_subcubic
 from domblocker.smallgraphs import random_connected_graph
 
 from bruteforce import brute_all_mds, brute_efficient, brute_gamma, dominates
 
 
+SEARCH_TREES = Path(__file__).parent / "golden" / "search_trees.json"
+
+
 def connected_random(rng, n):
     return random_connected_graph(n, rng)
+
+
+def grid_graph(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return LabeledGraph.from_edges(rows * cols, edges)
 
 
 class TestSetPredicates:
@@ -255,6 +274,18 @@ class TestOneContraction:
         for g in (complete_graph(4), star_graph(3)):
             assert not one_contraction_decision(g).holds
 
+    def test_solves_gamma_once(self, monkeypatch, p4):
+        calls = []
+        solve = domination.domination_number
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(domination, "domination_number", counted)
+        assert one_contraction_decision(p4).holds
+        assert calls == [p4]
+
     def test_definitional_p4(self, p4):
         decision = one_contraction_definitional(p4)
         assert decision.holds
@@ -301,8 +332,6 @@ class TestCtGamma:
     def test_max_k_cuts_search(self, c6):
         assert ct_gamma(c6, max_k=1) == CT_IMPOSSIBLE
         assert ct_gamma(c6, max_k=2) == CT_IMPOSSIBLE
-        assert not can_k_contract(c6, 2)
-        assert can_k_contract(c6, 3)
 
     def test_invalid_max_k(self, c6):
         with pytest.raises(GraphError):
@@ -365,3 +394,34 @@ class TestBlockerReport:
         assert d["gamma"] == 1
         assert d["ct_gamma"] == CT_IMPOSSIBLE
         assert d["one_contraction"] == "no"
+
+
+class TestSearchTrees:
+    """The search visits the same nodes in the same order on fixed graphs.
+
+    The golden file pins gamma, the witness, the optimizer's and the
+    enumerator's node counts, and every MDS in visit order, so a change to
+    how the solver walks its masks cannot silently change what it explores.
+    """
+
+    GRAPHS = {
+        "unsat_fixture": lambda: build_subcubic(unsatisfiable_fixture())[0],
+        "sat_fixture": lambda: build_subcubic(satisfiable_fixture())[0],
+        "grid_5x8": lambda: grid_graph(5, 8),
+        "c9": lambda: cycle_graph(9),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_pinned_search(self, name):
+        want = json.loads(SEARCH_TREES.read_text(encoding="utf-8"))[name]
+        g = self.GRAPHS[name]()
+        assert g.n == want["n"]
+        optimizer = domination._Optimizer(g, None)
+        gamma, witness = optimizer.run()
+        enumerator = domination._Enumerator(g, gamma, None)
+        found = []
+        assert enumerator.visit_all(lambda s: found.append(sorted(s)) or True)
+        assert (gamma, sorted(witness)) == (want["gamma"], want["witness"])
+        assert optimizer.nodes == want["optimizer_nodes"]
+        assert enumerator.nodes == want["enumerator_nodes"]
+        assert found == want["mds"]
