@@ -33,6 +33,7 @@ from .domination import (
     CT_IMPOSSIBLE,
     Decision,
     GammaResult,
+    GammaTable,
     all_efficient_md,
     all_independent_md,
     blocker_report,

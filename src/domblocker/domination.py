@@ -29,6 +29,17 @@ matters, so the choice changes the cost of a node, never which nodes the
 search visits.
 
 Everything is deterministic: ties break toward the lowest vertex id.
+
+The deciders, both contraction oracles, ``ct_gamma`` and ``blocker_report``
+ask for γ through a ``GammaTable``: the γ results of the graphs met while
+analysing one input graph, keyed by adjacency. Each takes the table as its
+optional ``table`` argument and makes a fresh one when it is absent, so a
+caller that analyses one graph several ways (``blocker_report``, the
+``verify`` suites) passes one table along and solves γ of each graph once:
+the input graph itself and, shared between the definitional oracle and the
+first level of ``ct_gamma``, each single-edge contraction. Only γ values of
+identical graphs are shared; every decider still runs its own enumeration or
+contraction search. A table lives for one input graph and is then dropped.
 """
 
 from __future__ import annotations
@@ -451,6 +462,38 @@ def domination_number(
     return GammaResult(size, witness)
 
 
+class GammaTable:
+    """γ results of the graphs met while analysing one input graph.
+
+    Results are keyed by adjacency (``g.adj``); labels play no part. A miss
+    calls ``solver`` (by default this module's ``domination_number``, looked
+    up at call time) and stores what it returns; a ``BudgetExceeded`` passes
+    through and nothing is stored, so the next ask solves again. A hit costs
+    no search nodes. ``hint`` only seeds a miss: a hit returns the stored
+    result whatever hint solved it, with the same γ and possibly another
+    witness. The table keeps every graph it was asked about alive, so scope it
+    to one input graph and drop it afterwards.
+    """
+
+    def __init__(self, solver: Optional[Callable[..., GammaResult]] = None):
+        self._solver = solver
+        self._results: dict[tuple[frozenset[int], ...], GammaResult] = {}
+
+    def solve(
+        self,
+        g: LabeledGraph,
+        budget: Optional[int] = None,
+        hint: Optional[frozenset[int]] = None,
+    ) -> GammaResult:
+        """γ of g with a witness, solved at most once per adjacency."""
+        result = self._results.get(g.adj)
+        if result is None:
+            solver = self._solver or domination_number
+            result = solver(g, budget, hint)
+            self._results[g.adj] = result
+        return result
+
+
 def visit_minimum_dominating_sets(
     g: LabeledGraph,
     visitor: Callable[[frozenset[int]], bool],
@@ -480,10 +523,13 @@ def enumerate_minimum_dominating_sets(
     yield from sorted(found, key=sorted)
 
 
-def all_efficient_md(g: LabeledGraph, budget: Optional[int] = None) -> Decision:
+def all_efficient_md(
+    g: LabeledGraph, budget: Optional[int] = None, table: Optional[GammaTable] = None
+) -> Decision:
     """Is every minimum dominating set efficient? Witness: a non-efficient MDS."""
     if not g.is_connected():
         raise GraphError("decider requires a connected graph")
+    table = GammaTable() if table is None else table
     bad: list[frozenset[int]] = []
 
     def check(s: frozenset[int]) -> bool:
@@ -492,19 +538,17 @@ def all_efficient_md(g: LabeledGraph, budget: Optional[int] = None) -> Decision:
             return False
         return True
 
-    visit_minimum_dominating_sets(g, check, budget)
+    visit_minimum_dominating_sets(g, check, budget, table.solve(g, budget).gamma)
     return Decision(not bad, bad[0] if bad else None)
 
 
 def all_independent_md(
-    g: LabeledGraph, budget: Optional[int] = None, gamma: Optional[int] = None
+    g: LabeledGraph, budget: Optional[int] = None, table: Optional[GammaTable] = None
 ) -> Decision:
-    """Is every minimum dominating set independent? Witness: a non-independent MDS.
-
-    ``gamma``, when the caller has already solved it, saves the solve.
-    """
+    """Is every minimum dominating set independent? Witness: a non-independent MDS."""
     if not g.is_connected():
         raise GraphError("decider requires a connected graph")
+    table = GammaTable() if table is None else table
     bad: list[frozenset[int]] = []
 
     def check(s: frozenset[int]) -> bool:
@@ -513,11 +557,13 @@ def all_independent_md(
             return False
         return True
 
-    visit_minimum_dominating_sets(g, check, budget, gamma)
+    visit_minimum_dominating_sets(g, check, budget, table.solve(g, budget).gamma)
     return Decision(not bad, bad[0] if bad else None)
 
 
-def one_contraction_decision(g: LabeledGraph, budget: Optional[int] = None) -> Decision:
+def one_contraction_decision(
+    g: LabeledGraph, budget: Optional[int] = None, table: Optional[GammaTable] = None
+) -> Decision:
     """Can a single edge contraction decrease the domination number?
 
     Decided through the classical characterization: one contraction suffices
@@ -526,10 +572,10 @@ def one_contraction_decision(g: LabeledGraph, budget: Optional[int] = None) -> D
     """
     if not g.is_connected():
         raise GraphError("contraction decision requires a connected graph")
-    gamma = domination_number(g, budget).gamma
-    if gamma == 1:
+    table = GammaTable() if table is None else table
+    if table.solve(g, budget).gamma == 1:
         return Decision(False)
-    verdict = all_independent_md(g, budget, gamma)
+    verdict = all_independent_md(g, budget, table)
     if verdict.holds:
         return Decision(False)
     witness_set = verdict.witness
@@ -537,19 +583,26 @@ def one_contraction_decision(g: LabeledGraph, budget: Optional[int] = None) -> D
     return Decision(True, edge)
 
 
-def one_contraction_definitional(g: LabeledGraph, budget: Optional[int] = None) -> Decision:
+def one_contraction_definitional(
+    g: LabeledGraph, budget: Optional[int] = None, table: Optional[GammaTable] = None
+) -> Decision:
     """Ground-truth oracle: contract each edge in turn and compare gammas."""
     if not g.is_connected():
         raise GraphError("contraction decision requires a connected graph")
-    gamma = domination_number(g, budget).gamma
+    table = GammaTable() if table is None else table
+    gamma = table.solve(g, budget).gamma
     for u, v in g.edges():
-        contracted = g.contract_edge(u, v)
-        if domination_number(contracted, budget).gamma < gamma:
+        if table.solve(g.contract_edge(u, v), budget).gamma < gamma:
             return Decision(True, (u, v))
     return Decision(False)
 
 
-def ct_gamma(g: LabeledGraph, max_k: int = 3, budget: Optional[int] = None) -> int | str:
+def ct_gamma(
+    g: LabeledGraph,
+    max_k: int = 3,
+    budget: Optional[int] = None,
+    table: Optional[GammaTable] = None,
+) -> int | str:
     """Minimum number of contractions decreasing gamma, searching depth <= max_k.
 
     Returns CT_IMPOSSIBLE when gamma(g) = 1 (no contraction sequence can ever
@@ -560,25 +613,29 @@ def ct_gamma(g: LabeledGraph, max_k: int = 3, budget: Optional[int] = None) -> i
         raise GraphError(f"max_k must be in 1..3, got {max_k}")
     if not g.is_connected():
         raise GraphError("contraction search requires a connected graph")
-    gamma = domination_number(g, budget).gamma
+    table = GammaTable() if table is None else table
+    gamma = table.solve(g, budget).gamma
     if gamma == 1:
         return CT_IMPOSSIBLE
-    level = {_adjacency_key(g): g}
+    level = {g.adj: g}
     for k in range(1, max_k + 1):
+        # single contractions go through the table, which the definitional
+        # oracle shares; deeper ones are this search's alone and are solved
+        # directly, since storing them would keep up to m^k graphs alive. A
+        # graph met again on a level kept below max_k was solved already.
+        solve = table.solve if k == 1 else domination_number
         next_level: dict = {}
         for h in level.values():
             for u, v in h.edges():
                 contracted = h.contract_edge(u, v)
-                if domination_number(contracted, budget).gamma <= gamma - 1:
+                if contracted.adj in next_level:
+                    continue
+                if solve(contracted, budget).gamma <= gamma - 1:
                     return k
                 if k < max_k:
-                    next_level.setdefault(_adjacency_key(contracted), contracted)
+                    next_level[contracted.adj] = contracted
         level = next_level
     return CT_IMPOSSIBLE
-
-
-def _adjacency_key(g: LabeledGraph) -> tuple:
-    return (g.n, tuple(g.edges()))
 
 
 # -- blocker report --------------------------------------------------------------
@@ -612,12 +669,16 @@ class BlockerReport:
 
 
 def blocker_report(g: LabeledGraph, budget: Optional[int] = None) -> BlockerReport:
-    """Full contraction-blocker classification of a connected graph."""
+    """Full contraction-blocker classification of a connected graph.
+
+    One ``GammaTable`` serves every part, so γ of g is solved once.
+    """
     if not g.is_connected():
         raise GraphError("blocker report requires a connected graph")
-    result = domination_number(g, budget)
-    efficient = all_efficient_md(g, budget)
-    independent = all_independent_md(g, budget)
+    table = GammaTable()
+    result = table.solve(g, budget)
+    efficient = all_efficient_md(g, budget, table)
+    independent = all_independent_md(g, budget, table)
     if result.gamma == 1:
         one = Decision(False)
         ct: int | str = CT_IMPOSSIBLE
@@ -627,7 +688,7 @@ def blocker_report(g: LabeledGraph, budget: Optional[int] = None) -> BlockerRepo
         else:
             one = Decision(True, set_edges(g, independent.witness)[0])
         try:
-            ct = ct_gamma(g, max_k=3, budget=budget)
+            ct = ct_gamma(g, max_k=3, budget=budget, table=table)
         except BudgetExceeded:
             ct = "unknown"
     return BlockerReport(result.gamma, result.witness, one, efficient, independent, ct)

@@ -7,6 +7,20 @@ oracles vs. the characterization through non-independent minimum dominating
 sets, structural recognizers vs. construction intent). A verdict is "pass",
 "fail" (with a re-checkable counterexample payload), or "skipped" when a
 solver budget ran out; failures are never silently truncated.
+
+A claim analyses each input graph through one ``GammaTable``, which lives for
+that graph only: the ``contraction`` suite walks its corpus once and evaluates
+both of its claims with one table per graph, and the ``subcubic`` suite shares
+one table between the two claims of each formula. So γ of a graph, and of each
+of its single-edge contractions, is solved once per graph instead of once per
+asking side. Only γ values of identical graphs are shared: the definitional
+contract-and-compare oracle, the characterization, the all-independent
+decider and the contraction search each still run their own code path, and
+brute-force satisfiability stays independent of every γ. Each claim keeps its
+own verdict: its first failure or skip, with the same counts and details as
+when it runs alone. Under a budget a claim is ``skipped`` no more often than
+with every γ solved afresh, and sometimes less: a table hit costs no search
+nodes, and a miss runs the solve the claim would have run anyway.
 """
 
 from __future__ import annotations
@@ -28,6 +42,7 @@ from .cnf import (
 )
 from .domination import (
     BudgetExceeded,
+    GammaTable,
     all_efficient_md,
     all_independent_md,
     ct_gamma,
@@ -81,10 +96,18 @@ def _skipped(claim, instance, exc: BudgetExceeded) -> ClaimVerdict:
     return ClaimVerdict(claim, instance, "skipped", f"budget exceeded: {exc}")
 
 
+def _table(table: Optional[GammaTable] = None) -> GammaTable:
+    """The caller's table, or a fresh one that solves with this module's
+    ``domination_number``, so a solver put in its place is the one checked."""
+    return GammaTable(domination_number) if table is None else table
+
+
 # -- subcubic construction checks ----------------------------------------------
 
 
-def verify_subcubic_gamma(f: Formula1in3, budget: Optional[int] = None) -> ClaimVerdict:
+def verify_subcubic_gamma(
+    f: Formula1in3, budget: Optional[int] = None, table: Optional[GammaTable] = None
+) -> ClaimVerdict:
     """Satisfiability (brute force) iff gamma equals the floor 3|X| + |C|."""
     claim = "subcubic-gamma-iff-sat"
     instance = f"1in3 formula |X|={f.num_vars} clauses={list(f.clauses)}"
@@ -92,7 +115,7 @@ def verify_subcubic_gamma(f: Formula1in3, budget: Optional[int] = None) -> Claim
     g, rmap = reductions.build_subcubic(f)
     hint = reductions.assignment_to_mds_subcubic(rmap, assignment) if assignment else None
     try:
-        gamma = domination_number(g, budget, hint=hint).gamma
+        gamma = _table(table).solve(g, budget, hint).gamma
     except BudgetExceeded as exc:
         return _skipped(claim, instance, exc)
     target = rmap.expected_gamma()
@@ -107,16 +130,19 @@ def verify_subcubic_gamma(f: Formula1in3, budget: Optional[int] = None) -> Claim
     )
 
 
-def verify_subcubic_efficiency(f: Formula1in3, budget: Optional[int] = None) -> ClaimVerdict:
+def verify_subcubic_efficiency(
+    f: Formula1in3, budget: Optional[int] = None, table: Optional[GammaTable] = None
+) -> ClaimVerdict:
     """gamma == 3|X| + |C| iff every minimum dominating set is efficient."""
     claim = "subcubic-all-efficient-iff-tight"
     instance = f"1in3 formula |X|={f.num_vars} clauses={list(f.clauses)}"
     g, rmap = reductions.build_subcubic(f)
     assignment = solve_1in3_brute(f)
     hint = reductions.assignment_to_mds_subcubic(rmap, assignment) if assignment else None
+    table = _table(table)
     try:
-        gamma = domination_number(g, budget, hint=hint).gamma
-        efficient = all_efficient_md(g, budget)
+        gamma = table.solve(g, budget, hint).gamma
+        efficient = all_efficient_md(g, budget, table)
     except BudgetExceeded as exc:
         return _skipped(claim, instance, exc)
     tight = gamma == rmap.expected_gamma()
@@ -277,9 +303,10 @@ def verify_triangle_construction(f: Formula3Sat, budget: Optional[int] = None) -
     g, rmap = reductions.build_p7free(f)
     assignment = solve_3sat_brute(f)
     hint = reductions.assignment_to_mds_p7(rmap, assignment) if assignment else None
+    table = _table()
     try:
-        gamma = domination_number(g, budget, hint=hint).gamma
-        independent = all_independent_md(g, budget)
+        gamma = table.solve(g, budget, hint).gamma
+        independent = all_independent_md(g, budget, table)
     except BudgetExceeded as exc:
         return _skipped(claim, instance, exc)
     sat = assignment is not None
@@ -310,46 +337,89 @@ def verify_triangle_construction(f: Formula3Sat, budget: Optional[int] = None) -
 # -- contraction equivalences over a corpus -------------------------------------------
 
 
+def _equivalences(claim, name, g, budget, table) -> Optional[ClaimVerdict]:
+    """The definitional contract-and-compare oracle, the
+    non-independent-MDS characterization and the negated all-independent
+    decider agree on g, and the characterization's witness edge lowers
+    gamma. None when g passes."""
+    try:
+        definitional = one_contraction_definitional(g, budget, table)
+        characterized = one_contraction_decision(g, budget, table)
+        independent = all_independent_md(g, budget, table)
+    except BudgetExceeded as exc:
+        return _skipped(claim, name, exc)
+    agree = definitional.holds == characterized.holds == (not independent.holds)
+    witness_ok = True
+    if characterized.holds:
+        u, v = characterized.witness
+        contracted = g.contract_edge(u, v)
+        witness_ok = table.solve(contracted, budget).gamma < table.solve(g, budget).gamma
+    if agree and witness_ok:
+        return None
+    return _verdict(
+        claim,
+        name,
+        False,
+        "oracle disagreement",
+        {
+            "definitional": definitional.holds,
+            "characterized": characterized.holds,
+            "all_independent": independent.holds,
+            "witness_ok": witness_ok,
+            "edges": g.edges(),
+        },
+    )
+
+
+def _bound(claim, name, g, budget, table) -> Optional[ClaimVerdict]:
+    """g has ct_gamma in 1..3 when gamma >= 2, and CT_IMPOSSIBLE at gamma = 1.
+    None when g passes."""
+    try:
+        gamma = table.solve(g, budget).gamma
+        ct = ct_gamma(g, max_k=3, budget=budget, table=table)
+    except BudgetExceeded as exc:
+        return _skipped(claim, name, exc)
+    expected_ok = ct == CT_IMPOSSIBLE if gamma == 1 else ct in (1, 2, 3)
+    if expected_ok:
+        return None
+    return _verdict(claim, name, False, f"gamma={gamma} ct={ct}", {"edges": g.edges(), "ct": ct})
+
+
+# a corpus claim: its name, the check of one graph, and the word of its pass detail
+_EQUIVALENCES = ("contraction-equivalences", _equivalences, "agree")
+_BOUND = ("three-contractions-suffice", _bound, "within bound")
+
+
+def _corpus_verdicts(graphs, budget, claims) -> list[ClaimVerdict]:
+    """Evaluate corpus claims in one pass over graphs. Each claim stops at
+    its first failing or skipped graph; the claims still open share one
+    GammaTable per graph, dropped once the graph is done."""
+    verdicts: list[Optional[ClaimVerdict]] = [None] * len(claims)
+    checked = [0] * len(claims)
+    for name, g in graphs:
+        open_claims = [i for i, verdict in enumerate(verdicts) if verdict is None]
+        if not open_claims:
+            break
+        table = _table()
+        for i in open_claims:
+            claim, check, _ = claims[i]
+            verdicts[i] = check(claim, name, g, budget, table)
+            if verdicts[i] is None:
+                checked[i] += 1
+    for i, (claim, _, word) in enumerate(claims):
+        if verdicts[i] is None:
+            count = checked[i]
+            verdicts[i] = _verdict(claim, f"{count} connected graphs", True, f"{count} graphs {word}")
+    return verdicts
+
+
 def verify_contraction_equivalences(
     graphs: Iterable[tuple[str, LabeledGraph]], budget: Optional[int] = None
 ) -> ClaimVerdict:
     """For every connected corpus graph, the definitional contract-and-compare
     oracle, the non-independent-MDS characterization, and the negated
     all-independent decider must agree."""
-    claim = "contraction-equivalences"
-    checked = 0
-    for name, g in graphs:
-        try:
-            definitional = one_contraction_definitional(g, budget)
-            characterized = one_contraction_decision(g, budget)
-            independent = all_independent_md(g, budget)
-        except BudgetExceeded as exc:
-            return _skipped(claim, name, exc)
-        agree = definitional.holds == characterized.holds == (not independent.holds)
-        witness_ok = True
-        if characterized.holds:
-            u, v = characterized.witness
-            contracted = g.contract_edge(u, v)
-            witness_ok = (
-                domination_number(contracted, budget).gamma
-                < domination_number(g, budget).gamma
-            )
-        if not (agree and witness_ok):
-            return _verdict(
-                claim,
-                name,
-                False,
-                "oracle disagreement",
-                {
-                    "definitional": definitional.holds,
-                    "characterized": characterized.holds,
-                    "all_independent": independent.holds,
-                    "witness_ok": witness_ok,
-                    "edges": g.edges(),
-                },
-            )
-        checked += 1
-    return _verdict(claim, f"{checked} connected graphs", True, f"{checked} graphs agree")
+    return _corpus_verdicts(graphs, budget, [_EQUIVALENCES])[0]
 
 
 def verify_contraction_bound(
@@ -357,24 +427,7 @@ def verify_contraction_bound(
 ) -> ClaimVerdict:
     """Connected graphs with gamma >= 2 always admit a gamma-decreasing
     sequence of at most three contractions."""
-    claim = "three-contractions-suffice"
-    checked = 0
-    for name, g in graphs:
-        try:
-            gamma = domination_number(g, budget).gamma
-            ct = ct_gamma(g, max_k=3, budget=budget)
-        except BudgetExceeded as exc:
-            return _skipped(claim, name, exc)
-        if gamma == 1:
-            expected_ok = ct == CT_IMPOSSIBLE
-        else:
-            expected_ok = ct in (1, 2, 3)
-        if not expected_ok:
-            return _verdict(
-                claim, name, False, f"gamma={gamma} ct={ct}", {"edges": g.edges(), "ct": ct}
-            )
-        checked += 1
-    return _verdict(claim, f"{checked} connected graphs", True, f"{checked} graphs within bound")
+    return _corpus_verdicts(graphs, budget, [_BOUND])[0]
 
 
 # -- suites -----------------------------------------------------------------------------
@@ -396,11 +449,8 @@ def suite_contraction(
     seed: int = 2024,
     budget: Optional[int] = None,
 ) -> list[ClaimVerdict]:
-    corpus = list(_corpus(max_n, random_count, (7, 8, 9), seed))
-    return [
-        verify_contraction_equivalences(corpus, budget),
-        verify_contraction_bound(corpus, budget),
-    ]
+    corpus = _corpus(max_n, random_count, (7, 8, 9), seed)
+    return _corpus_verdicts(corpus, budget, [_EQUIVALENCES, _BOUND])
 
 
 def suite_subcubic(
@@ -412,8 +462,9 @@ def suite_subcubic(
     for _ in range(random_instances):
         fixtures.append(gen_1in3(rng.choice((3, 4)), rng.randrange(1 << 30)))
     for f in fixtures:
-        verdicts.append(verify_subcubic_gamma(f, budget))
-        verdicts.append(verify_subcubic_efficiency(f, budget))
+        table = _table()
+        verdicts.append(verify_subcubic_gamma(f, budget, table))
+        verdicts.append(verify_subcubic_efficiency(f, budget, table))
     return verdicts
 
 

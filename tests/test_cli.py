@@ -211,6 +211,12 @@ class TestVerifyCommand:
         args = ["verify", "contraction", "--max-n", "4", "--random-count", "2"]
         assert runner.invoke(main, args).stdout == runner.invoke(main, args).stdout
 
+    def test_all_matches_golden(self, runner):
+        # every suite with its defaults: the 200 random contraction graphs included
+        result = runner.invoke(main, ["verify", "all", "--max-n", "6", "--seed", "2024"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == (GOLDEN / "verify_all_n6_seed2024.json").read_text()
+
     def test_budget_exit_three(self, runner):
         result = runner.invoke(main, ["verify", "subcubic", "--budget", "1"])
         assert result.exit_code == 3

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from domblocker import (
     BudgetExceeded,
     CT_IMPOSSIBLE,
+    GammaTable,
     GraphError,
     LabeledGraph,
+    VertexLabel,
     all_efficient_md,
     all_independent_md,
     blocker_report,
@@ -35,6 +37,20 @@ from bruteforce import brute_all_mds, brute_efficient, brute_gamma, dominates
 
 
 SEARCH_TREES = Path(__file__).parent / "golden" / "search_trees.json"
+
+
+@pytest.fixture
+def gamma_calls(monkeypatch):
+    """The graphs handed to domination.domination_number, in call order."""
+    calls = []
+    solve = domination.domination_number
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(domination, "domination_number", counted)
+    return calls
 
 
 def connected_random(rng, n):
@@ -274,17 +290,9 @@ class TestOneContraction:
         for g in (complete_graph(4), star_graph(3)):
             assert not one_contraction_decision(g).holds
 
-    def test_solves_gamma_once(self, monkeypatch, p4):
-        calls = []
-        solve = domination.domination_number
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(domination, "domination_number", counted)
+    def test_solves_gamma_once(self, gamma_calls, p4):
         assert one_contraction_decision(p4).holds
-        assert calls == [p4]
+        assert gamma_calls == [p4]
 
     def test_definitional_p4(self, p4):
         decision = one_contraction_definitional(p4)
@@ -389,11 +397,35 @@ class TestBlockerReport:
             else:
                 assert report.ct in (1, 2, 3)
 
+    def test_solves_gamma_once(self, gamma_calls, c6):
+        assert blocker_report(c6).ct == 3
+        assert [h for h in gamma_calls if h.adj == c6.adj] == [c6]
+
     def test_gamma_one_report(self):
         d = blocker_report(star_graph(3)).to_json_dict()
         assert d["gamma"] == 1
         assert d["ct_gamma"] == CT_IMPOSSIBLE
         assert d["one_contraction"] == "no"
+
+
+class TestGammaTable:
+    def test_one_solve_per_adjacency(self, gamma_calls, c6):
+        relabeled = LabeledGraph(c6.n, c6.adj, (VertexLabel("clause", clause=0),) * c6.n)
+        table = GammaTable()
+        first = table.solve(c6)
+        assert table.solve(relabeled) is first
+        assert first.gamma == 2
+        assert gamma_calls == [c6]
+
+    def test_budget_exceeded_is_not_stored(self, gamma_calls):
+        g, rmap = build_subcubic(unsatisfiable_fixture())
+        table = GammaTable()
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded):
+                table.solve(g, budget=1)
+        assert table.solve(g) is table.solve(g)
+        assert table.solve(g).gamma > rmap.expected_gamma()  # unsatisfiable: above the floor
+        assert len(gamma_calls) == 3  # two refused, one stored
 
 
 class TestSearchTrees:

@@ -1,12 +1,20 @@
 import pytest
 
-from domblocker import cycle_graph, path_graph, satisfiable_fixture, unsatisfiable_fixture
+import domblocker.verify as verify_mod
+from domblocker import (
+    Decision,
+    cycle_graph,
+    path_graph,
+    satisfiable_fixture,
+    unsatisfiable_fixture,
+)
 from domblocker.verify import (
     ClaimVerdict,
     all_three_var_formulas,
     eight_pattern_formula,
     run_suite,
     suite_clawfree,
+    suite_contraction,
     suite_subcubic,
     verify_clawfree_offset,
     verify_contraction_bound,
@@ -100,3 +108,51 @@ class TestSuites:
     def test_contraction_suite_smallest(self):
         verdicts = run_suite("contraction", max_n=4, random_count=3, seed=1)
         assert [v.status for v in verdicts] == ["pass", "pass"]
+
+
+class TestContractionSinglePass:
+    """suite_contraction walks its corpus once for both claims; each claim
+    still reports what it reports when it runs alone."""
+
+    MAX_N, RANDOM_COUNT, SEED = 5, 4, 3
+
+    def corpus(self):
+        return list(verify_mod._corpus(self.MAX_N, self.RANDOM_COUNT, (7, 8, 9), self.SEED))
+
+    def suite_and_alone(self, budget=None):
+        suite = suite_contraction(self.MAX_N, self.RANDOM_COUNT, self.SEED, budget)
+        corpus = self.corpus()
+        alone = [
+            verify_contraction_equivalences(corpus, budget),
+            verify_contraction_bound(corpus, budget),
+        ]
+        return [v.to_json_dict() for v in suite], [v.to_json_dict() for v in alone]
+
+    @pytest.mark.parametrize(
+        "decider, lie",
+        [
+            ("all_independent_md", lambda d: Decision(not d.holds, d.witness)),
+            ("ct_gamma", lambda ct: 4),
+        ],
+    )
+    def test_lying_decider_fails_its_claim_only(self, monkeypatch, decider, lie):
+        name, target = self.corpus()[12]
+        real = getattr(verify_mod, decider)
+
+        def lying(g, *args, **kwargs):
+            answer = real(g, *args, **kwargs)
+            return lie(answer) if g.adj == target.adj else answer
+
+        monkeypatch.setattr(verify_mod, decider, lying)
+        suite, alone = self.suite_and_alone()
+        assert suite == alone
+        assert [v["status"] for v in suite].count("fail") == 1
+        failed = next(v for v in suite if v["status"] == "fail")
+        assert failed["instance"] == name and failed["counterexample"]
+
+    def test_budget_skips_one_claim_only(self):
+        suite, alone = self.suite_and_alone(budget=5)
+        assert suite == alone
+        assert [v["status"] for v in suite] == ["skipped", "pass"]
+        assert suite[0]["instance"] == "exhaustive#20(n=5)"
+        assert suite[1]["instance"] == "35 connected graphs"
