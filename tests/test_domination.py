@@ -29,9 +29,9 @@ from domblocker import (
     star_graph,
 )
 from domblocker import domination
-from domblocker.cnf import satisfiable_fixture, unsatisfiable_fixture
-from domblocker.reductions import build_subcubic
-from domblocker.smallgraphs import random_connected_graph
+from domblocker.cnf import gen_3sat, satisfiable_fixture, unsatisfiable_fixture
+from domblocker.reductions import build_p7free, build_subcubic
+from domblocker.smallgraphs import random_connected_graph, random_degree23_graph
 
 from bruteforce import brute_all_mds, brute_efficient, brute_gamma, dominates
 
@@ -441,6 +441,8 @@ class TestSearchTrees:
         "sat_fixture": lambda: build_subcubic(satisfiable_fixture())[0],
         "grid_5x8": lambda: grid_graph(5, 8),
         "c9": lambda: cycle_graph(9),
+        "p7free_nv4": lambda: build_p7free(gen_3sat(4, 6, 1))[0],
+        "degree23_n19": lambda: random_degree23_graph(19, random.Random(1)),
     }
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
