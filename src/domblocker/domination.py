@@ -14,19 +14,55 @@ independently; enumeration mode keeps only the reductions that preserve the
 full solution set, so it visits every minimum dominating set exactly once.
 Both share one ``reduce``; the enumerator switches candidate dominance off.
 
-Vertex sets are int bitmasks, walked in ascending vertex order. The outer
-loops of the reductions, the lower bound and the branching walk dense masks
-(the undominated and the available vertices, up to n bits), so they decode
-each one into a list in a single pass over its ``bin()`` string. The inner
-dominance loops ask "which two-hop neighbours of y are still in the mask?":
-they walk a per-vertex list of two-hop neighbours, built once per search from
-the adjacency sets, and test one bit per entry instead of decoding
+Vertex sets are int bitmasks, walked in ascending vertex order. The lower
+bound and the branching walk dense masks (the undominated and the available
+vertices, up to n bits), so they decode each one into a list in a single
+pass over its ``bin()`` string; the reductions walk only their marked
+vertices (below), lowest set bit first. The inner dominance loops ask
+"which two-hop neighbours of y are still in the mask?": they walk a
+per-vertex list of two-hop neighbours, built once per search from the
+adjacency sets, and test one bit per entry instead of decoding
 ``two[y] & mask``; the fractional bound reads closed neighbourhoods from the
 adjacency sets the same way. Sparse masks (a branch set, a component
 frontier, a solution) go through the ``_bits`` generator, which costs per set
 bit rather than per bit position. Every walk keeps ascending order where order
 matters, so the choice changes the cost of a node, never which nodes the
 search visits.
+
+``reduce`` re-checks a rule only where it can newly fire. Inside ``reduce``
+and from a node to its children, und and avail only lose bits: a child is
+its parent's fixpoint with the branch vertex's neighbourhood cleared from
+und, the candidates tried so far cleared from avail and, in the optimizer,
+the other parts of a component split cleared from und. Each rule is
+monotone under clearing, so a cleared bit can make it fire only near itself:
+
+- a forced take at v (at most one live dominator in N[v]) only when a
+  vertex of N[v] leaves avail;
+- candidate dominance at y (N[y] ∩ und inside N[x] ∩ und for an available
+  x within two hops) only when a vertex of N[y] leaves und, since leaving
+  avail only removes competitors x and leaving und elsewhere only shrinks
+  the covering side;
+- element dominance at v (N[u] ∩ avail inside N[v] ∩ avail for an
+  undominated u within two hops) only when a vertex of such an N[u] leaves
+  avail, since leaving und only removes competitors u and leaving avail
+  elsewhere only shrinks N[v] ∩ avail.
+
+So ``reduce`` keeps one mark mask per rule. Every check clears its mark, and
+every cleared bit marks where it can make a rule fire: a vertex leaving
+avail marks its closed neighbourhood for forced takes and the closed two-hop
+masks of the undominated vertices in that neighbourhood for element
+dominance; a vertex leaving und marks its closed neighbourhood for candidate
+dominance (a forced take at d marks the two-hop mask of d for all of N[d]).
+No rule can make itself fire again (a forced take clears every undominated vertex whose live set it
+shrinks, candidate dominance clears only avail, element dominance only
+und), so each walk reads its marks once, when it starts, and visits them in
+ascending order. The root starts fully marked; a child starts marked only
+where the bits it lost since its parent's fixpoint can act. An unmarked
+vertex would not fire if checked, so every pass fires the same reductions
+in the same order as a pass over every vertex: γ, witnesses, node counts and
+the MDS visit order are those of full passes. The tests check ``reduce``
+against a full-pass reference (``tests/bruteforce.py``) and pin whole search
+trees (``tests/golden/search_trees.json``).
 
 Everything is deterministic: ties break toward the lowest vertex id.
 
@@ -37,9 +73,11 @@ optional ``table`` argument and makes a fresh one when it is absent, so a
 caller that analyses one graph several ways (``blocker_report``, the
 ``verify`` suites) passes one table along and solves γ of each graph once:
 the input graph itself and, shared between the definitional oracle and the
-first level of ``ct_gamma``, each single-edge contraction. Only γ values of
-identical graphs are shared; every decider still runs its own enumeration or
-contraction search. A table lives for one input graph and is then dropped.
+first level of ``ct_gamma``, each single-edge contraction, which the table
+also builds only once. Only the γ values of identical graphs and the
+contracted graphs themselves are shared; every decider still runs its own
+enumeration or contraction search. A table lives for one input graph and is
+then dropped.
 """
 
 from __future__ import annotations
@@ -135,6 +173,16 @@ def _bit_list(mask: int) -> list[int]:
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
+def _union(masks: list[int], members: int) -> int:
+    """The union of masks[v] over the set bits v of a sparse mask."""
+    out = 0
+    while members:
+        low = members & -members
+        out |= masks[low.bit_length() - 1]
+        members ^= low
+    return out
+
+
 class _Search:
     """Shared machinery for the optimizer and the enumerator.
 
@@ -162,7 +210,7 @@ class _Search:
             hop.discard(v)
             two.append(reach)
             near.append(sorted(hop))
-        self.two = two  # closed two-hop masks, for component splits
+        self.two = two  # closed two-hop masks
         self.near = near  # two-hop neighbours without v itself, ascending
 
     def tick(self):
@@ -184,24 +232,41 @@ class _Search:
             und &= ~self.nb[best_v]
         return chosen
 
-    def reduce(self, und: int, avail: int) -> Optional[tuple[int, int, int]]:
+    def reduce(
+        self, und: int, avail: int, since: Optional[tuple[int, int]] = None
+    ) -> Optional[tuple[int, int, int]]:
         """Apply the exact reductions to a fixpoint; (forced, und, avail) or None.
 
         Each pass takes forced unique dominators, then (unless
         solution_preserving) drops dominated candidates, then drops
-        automatically dominated vertices.
+        automatically dominated vertices, each rule walking only its marked
+        vertices in ascending order (see the module docstring). ``since`` is
+        the (und, avail) of a fixpoint of this search that the state was cut
+        from by clearing bits; then only the vertices those bits can make
+        fire start marked. With ``since`` None every vertex does.
         """
         nb = self.nb
         near = self.near
+        two = self.two
         candidate_dominance = not self.solution_preserving
+        if since is None:
+            mark_forced = mark_candidate = mark_element = self.full
+        else:
+            mark_forced = _union(nb, since[1] & ~avail)
+            mark_element = _union(two, mark_forced & und)
+            mark_candidate = _union(nb, since[0] & ~und) if candidate_dominance else 0
         changed = True
         forced = 0
         while changed:
             changed = False
-            for v in _bit_list(und):
-                if not und >> v & 1:
+            todo = mark_forced & und
+            mark_forced = 0
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                if not und & low:
                     continue  # removed by an earlier forced take in this pass
-                live = nb[v] & avail
+                live = nb[low.bit_length() - 1] & avail
                 if not live:
                     return None
                 if not live & (live - 1):
@@ -210,32 +275,40 @@ class _Search:
                     und &= ~nb[d]
                     avail &= ~live
                     changed = True
+                    mark_candidate |= two[d]
             if not und:
                 break
             if candidate_dominance:
                 # y is useless if some kept x covers a superset
-                for y in _bit_list(avail):
-                    if not avail >> y & 1:
-                        continue
+                todo = mark_candidate & avail
+                mark_candidate = 0
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    y = low.bit_length() - 1
                     cy = nb[y] & und
-                    if not cy:
-                        avail &= ~(1 << y)
-                        changed = True
-                        continue
-                    for x in near[y]:
-                        if not avail >> x & 1:
+                    if cy:
+                        for x in near[y]:
+                            if not avail >> x & 1:
+                                continue
+                            cx = nb[x] & und
+                            if cy & ~cx:
+                                continue
+                            if cy != cx or x < y:
+                                break
+                        else:
                             continue
-                        cx = nb[x] & und
-                        if cy & ~cx:
-                            continue
-                        if cy != cx or x < y:
-                            avail &= ~(1 << y)
-                            changed = True
-                            break
+                    avail ^= low
+                    changed = True
+                    mark_forced |= nb[y]
+                    mark_element |= _union(two, nb[y] & und)
             # element dominance: v is automatically dominated once u is
-            for v in _bit_list(und):
-                if not und >> v & 1:
-                    continue
+            todo = mark_element & und
+            mark_element = 0
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                v = low.bit_length() - 1
                 lv = nb[v] & avail
                 for u in near[v]:
                     if not und >> u & 1:
@@ -244,9 +317,12 @@ class _Search:
                     if lu & ~lv:
                         continue
                     if lu != lv or u < v:
-                        und &= ~(1 << v)
-                        changed = True
                         break
+                else:
+                    continue
+                und ^= low
+                changed = True
+                mark_candidate |= nb[v]
         return forced, und, avail
 
     def lower_bound(self, und: int, avail: int) -> int:
@@ -308,10 +384,7 @@ class _Search:
             comp = rest & -rest
             frontier = comp
             while frontier:
-                reach = 0
-                for v in _bits(frontier):
-                    reach |= self.two[v]
-                frontier = reach & und & ~comp
+                frontier = _union(self.two, frontier) & und & ~comp
                 comp |= frontier
             comps.append(comp)
             rest ^= comp
@@ -319,13 +392,19 @@ class _Search:
 
 
 class _Optimizer(_Search):
-    def min_dominating(self, und: int, avail: int, limit: int) -> Optional[tuple[int, int]]:
-        """Exact minimum (size, mask) dominating und from avail, or None if > limit."""
+    def min_dominating(
+        self, und: int, avail: int, limit: int, since: Optional[tuple[int, int]] = None
+    ) -> Optional[tuple[int, int]]:
+        """Exact minimum (size, mask) dominating und from avail, or None if > limit.
+
+        ``since`` is handed to ``reduce``: the fixpoint (und, avail) this
+        state was cut from (None at the root).
+        """
         if not und:
             return (0, 0)
         if limit <= 0:
             return None
-        red = self.reduce(und, avail)
+        red = self.reduce(und, avail, since)
         if red is None:
             return None
         forced, und, avail = red
@@ -334,9 +413,10 @@ class _Optimizer(_Search):
             return None
         if not und:
             return (k, forced)
+        fixpoint = (und, avail)
         comps = self.split_components(und)
         if len(comps) == 1:
-            sub = self.solve_component(und, avail, limit - k)
+            sub = self.solve_component(und, avail, limit - k, fixpoint)
             if sub is None:
                 return None
             return (sub[0] + k, sub[1] | forced)
@@ -347,14 +427,19 @@ class _Optimizer(_Search):
         total, mask = 0, 0
         for comp, bound in zip(comps, bounds):
             remaining -= bound
-            sub = self.solve_component(comp, avail, limit - k - total - remaining)
+            sub = self.solve_component(comp, avail, limit - k - total - remaining, fixpoint)
             if sub is None:
                 return None
             total += sub[0]
             mask |= sub[1]
         return (total + k, mask | forced)
 
-    def solve_component(self, und: int, avail: int, limit: int) -> Optional[tuple[int, int]]:
+    def solve_component(
+        self, und: int, avail: int, limit: int, fixpoint: tuple[int, int]
+    ) -> Optional[tuple[int, int]]:
+        """Branch on the branch set of und, which is all of the reduced
+        ``fixpoint`` (und, avail) or one part of it; each child is that
+        fixpoint with bits cleared."""
         self.tick()
         if not und:
             return (0, 0)
@@ -368,7 +453,7 @@ class _Optimizer(_Search):
         for v in _bits(branch_live):
             sub_avail &= ~(1 << v)
             cap = (limit if best is None else best[0] - 1) - 1
-            sub = self.min_dominating(und & ~self.nb[v], sub_avail, cap)
+            sub = self.min_dominating(und & ~self.nb[v], sub_avail, cap, fixpoint)
             if sub is not None:
                 candidate = (sub[0] + 1, sub[1] | (1 << v))
                 if best is None or candidate[0] < best[0]:
@@ -414,11 +499,13 @@ class _Enumerator(_Search):
 
     def visit_all(self, emit: Callable[[frozenset[int]], bool]) -> bool:
         """Runs the search; emit returns False to stop early. Returns completion."""
-        return self._rec(0, self.full, self.full, emit)
+        return self._rec(0, self.full, self.full, emit, None)
 
-    def _rec(self, chosen: int, und: int, avail: int, emit) -> bool:
+    def _rec(
+        self, chosen: int, und: int, avail: int, emit, since: Optional[tuple[int, int]]
+    ) -> bool:
         self.tick()
-        red = self.reduce(und, avail)
+        red = self.reduce(und, avail, since)
         if red is None:
             return True
         forced, und, avail = red
@@ -435,10 +522,11 @@ class _Enumerator(_Search):
             return True
         if size + self.lower_bound(und, avail) > self.gamma:
             return True
+        fixpoint = (und, avail)
         sub_avail = avail
         for v in _bits(self.branch_set(und, avail)):
             sub_avail &= ~(1 << v)
-            if not self._rec(chosen | (1 << v), und & ~self.nb[v], sub_avail, emit):
+            if not self._rec(chosen | (1 << v), und & ~self.nb[v], sub_avail, emit, fixpoint):
                 return False
         return True
 
@@ -471,13 +559,16 @@ class GammaTable:
     through and nothing is stored, so the next ask solves again. A hit costs
     no search nodes. ``hint`` only seeds a miss: a hit returns the stored
     result whatever hint solved it, with the same γ and possibly another
-    witness. The table keeps every graph it was asked about alive, so scope it
-    to one input graph and drop it afterwards.
+    witness. ``contract`` builds each single-edge contraction once, so the
+    definitional oracle and the first level of ``ct_gamma`` share the graphs
+    as well as their γ. The table keeps every graph it was asked about alive,
+    so scope it to one input graph and drop it afterwards.
     """
 
     def __init__(self, solver: Optional[Callable[..., GammaResult]] = None):
         self._solver = solver
         self._results: dict[tuple[frozenset[int], ...], GammaResult] = {}
+        self._contractions: dict[tuple, LabeledGraph] = {}
 
     def solve(
         self,
@@ -492,6 +583,14 @@ class GammaTable:
             result = solver(g, budget, hint)
             self._results[g.adj] = result
         return result
+
+    def contract(self, g: LabeledGraph, u: int, v: int) -> LabeledGraph:
+        """g with edge (u, v) contracted, built at most once per adjacency and edge."""
+        key = (g.adj, u, v)
+        contracted = self._contractions.get(key)
+        if contracted is None:
+            contracted = self._contractions[key] = g.contract_edge(u, v)
+        return contracted
 
 
 def visit_minimum_dominating_sets(
@@ -592,7 +691,7 @@ def one_contraction_definitional(
     table = GammaTable() if table is None else table
     gamma = table.solve(g, budget).gamma
     for u, v in g.edges():
-        if table.solve(g.contract_edge(u, v), budget).gamma < gamma:
+        if table.solve(table.contract(g, u, v), budget).gamma < gamma:
             return Decision(True, (u, v))
     return Decision(False)
 
@@ -619,15 +718,17 @@ def ct_gamma(
         return CT_IMPOSSIBLE
     level = {g.adj: g}
     for k in range(1, max_k + 1):
-        # single contractions go through the table, which the definitional
-        # oracle shares; deeper ones are this search's alone and are solved
-        # directly, since storing them would keep up to m^k graphs alive. A
-        # graph met again on a level kept below max_k was solved already.
+        # single contractions and their γ go through the table, which the
+        # definitional oracle shares; deeper ones are this search's alone and
+        # are built and solved directly, since storing them would keep up to
+        # m^k graphs alive. A graph met again on a level kept below max_k was
+        # solved already.
+        contract = table.contract if k == 1 else LabeledGraph.contract_edge
         solve = table.solve if k == 1 else domination_number
         next_level: dict = {}
         for h in level.values():
             for u, v in h.edges():
-                contracted = h.contract_edge(u, v)
+                contracted = contract(h, u, v)
                 if contracted.adj in next_level:
                     continue
                 if solve(contracted, budget).gamma <= gamma - 1:

@@ -88,3 +88,69 @@ def brute_has_induced_path(g: LabeledGraph, k: int) -> bool:
 
 def brute_efficient(g: LabeledGraph, s) -> bool:
     return all(len(closed_neighborhood(g, v) & set(s)) == 1 for v in range(g.n))
+
+
+def _within_two(g: LabeledGraph, v) -> set:
+    """Vertices at distance 1 or 2 from v."""
+    reach = set(g.adj[v])
+    for w in g.adj[v]:
+        reach |= g.adj[w]
+    reach.discard(v)
+    return reach
+
+
+def reference_reduce(g: LabeledGraph, und, avail, solution_preserving=False):
+    """The exact reductions of the γ search, run to a fixpoint by full passes.
+
+    Each pass walks every undominated vertex in ascending order and takes
+    forced unique dominators; then, unless solution_preserving, walks every
+    available vertex and drops those that cover no undominated vertex or
+    whose undominated coverage another available vertex within two hops
+    contains (of two with equal coverage the lower id stays); then walks
+    every undominated vertex and drops those whose live dominators contain
+    those of another undominated vertex within two hops (of two with equal
+    sets the lower id stays). Returns (forced, und, avail) as sets, or None
+    when some undominated vertex has no live dominator.
+    """
+    und, avail, forced = set(und), set(avail), set()
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(und):
+            if v not in und:
+                continue
+            live = closed_neighborhood(g, v) & avail
+            if not live:
+                return None
+            if len(live) == 1:
+                (d,) = live
+                forced.add(d)
+                und -= closed_neighborhood(g, d)
+                avail.discard(d)
+                changed = True
+        if not und:
+            break
+        if not solution_preserving:
+            for y in sorted(avail):
+                if y not in avail:
+                    continue
+                cy = closed_neighborhood(g, y) & und
+                if not cy or any(
+                    cy < cx or (cy == cx and x < y)
+                    for x in _within_two(g, y) & avail
+                    for cx in [closed_neighborhood(g, x) & und]
+                ):
+                    avail.discard(y)
+                    changed = True
+        for v in sorted(und):
+            if v not in und:
+                continue
+            lv = closed_neighborhood(g, v) & avail
+            if any(
+                lu < lv or (lu == lv and u < v)
+                for u in _within_two(g, v) & und
+                for lu in [closed_neighborhood(g, u) & avail]
+            ):
+                und.discard(v)
+                changed = True
+    return forced, und, avail

@@ -33,7 +33,13 @@ from domblocker.cnf import gen_3sat, satisfiable_fixture, unsatisfiable_fixture
 from domblocker.reductions import build_p7free, build_subcubic
 from domblocker.smallgraphs import random_connected_graph, random_degree23_graph
 
-from bruteforce import brute_all_mds, brute_efficient, brute_gamma, dominates
+from bruteforce import (
+    brute_all_mds,
+    brute_efficient,
+    brute_gamma,
+    dominates,
+    reference_reduce,
+)
 
 
 SEARCH_TREES = Path(__file__).parent / "golden" / "search_trees.json"
@@ -427,6 +433,25 @@ class TestGammaTable:
         assert table.solve(g).gamma > rmap.expected_gamma()  # unsatisfiable: above the floor
         assert len(gamma_calls) == 3  # two refused, one stored
 
+    def test_single_contractions_built_once(self, monkeypatch):
+        # C6 has γ = 2 and no edge lowers it, so the definitional oracle and
+        # the first level of ct_gamma both contract every edge
+        g = cycle_graph(6)
+        built = []
+        contract = LabeledGraph.contract_edge
+
+        def counted(h, u, v):
+            if h.adj == g.adj:
+                built.append((u, v))
+            return contract(h, u, v)
+
+        monkeypatch.setattr(LabeledGraph, "contract_edge", counted)
+        table = GammaTable()
+        assert not one_contraction_definitional(g, table=table).holds
+        assert ct_gamma(g, table=table) == 3
+        assert built == g.edges()
+        assert table.contract(g, 0, 1) is table.contract(g, 0, 1)
+
 
 class TestSearchTrees:
     """The search visits the same nodes in the same order on fixed graphs.
@@ -459,3 +484,95 @@ class TestSearchTrees:
         assert optimizer.nodes == want["optimizer_nodes"]
         assert enumerator.nodes == want["enumerator_nodes"]
         assert found == want["mds"]
+
+
+class TestIncrementalReduce:
+    """reduce re-checks only where the bits cleared since a fixpoint can make
+    a rule fire; on every state it must return what full passes return."""
+
+    SEARCHES = {
+        "optimizer": lambda g: domination._Optimizer(g, None),
+        "enumerator": lambda g: domination._Enumerator(g, g.n, None),
+    }
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(4242)
+        for i in range(40):
+            yield random_connected_graph(8 + i % 20, rng)
+            yield random_degree23_graph(12 + i % 20, rng)
+
+    @staticmethod
+    def as_mask(vertices):
+        return sum(1 << v for v in vertices)
+
+    def expected(self, g, und, avail, preserving):
+        ref = reference_reduce(g, domination._bits(und), domination._bits(avail), preserving)
+        return None if ref is None else tuple(self.as_mask(part) for part in ref)
+
+    @pytest.mark.parametrize("kind", sorted(SEARCHES))
+    def test_children_of_fixpoints_match_full_passes(self, kind):
+        rng = random.Random(kind)
+        children = 0
+        for g in self.graphs():
+            search = self.SEARCHES[kind](g)
+            preserving = search.solution_preserving
+            for _ in range(3):
+                und, avail, since = search.full, search.full, None
+                while True:
+                    got = search.reduce(und, avail, since)
+                    assert got == self.expected(g, und, avail, preserving)
+                    if got is None or not got[1]:
+                        break
+                    _, fix_und, fix_avail = got
+                    # a child: v dominates its neighbourhood, some candidates
+                    # tried before it leave avail, and the optimizer may keep
+                    # one component of und only
+                    if not preserving and rng.random() < 0.5:
+                        und = rng.choice(search.split_components(fix_und))
+                    else:
+                        und = fix_und
+                    candidates = list(domination._bits(fix_avail))
+                    v = rng.choice(candidates)
+                    tried = [x for x in candidates if x == v or rng.random() < 0.2]
+                    und &= ~search.nb[v]
+                    avail = fix_avail & ~self.as_mask(tried)
+                    since = (fix_und, fix_avail)
+                    children += 1
+        assert children >= 250
+
+    @pytest.mark.parametrize("kind", sorted(SEARCHES))
+    def test_one_bit_below_fixpoints_of_arbitrary_states(self, kind):
+        # arbitrary states reach fixpoints the search never builds (an
+        # undominated vertex that is not available, say), where one cleared
+        # bit can enable a rule up to three hops away; each bit is tried on
+        # its own, so a mark that falls short shows as a missed firing
+        rng = random.Random(kind)
+        children = 0
+        for i in range(400):
+            if i % 2:
+                g = random_connected_graph(6 + i % 10, rng)
+            else:
+                g = random_degree23_graph(8 + i % 10, rng)
+            search = self.SEARCHES[kind](g)
+            preserving = search.solution_preserving
+            und = rng.getrandbits(g.n)
+            avail = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+            got = search.reduce(und, avail)
+            assert got == self.expected(g, und, avail, preserving)
+            if got is None:
+                continue
+            _, und, avail = got
+            for bit in domination._bits(avail):
+                child = avail & ~(1 << bit)
+                assert search.reduce(und, child, (und, avail)) == self.expected(
+                    g, und, child, preserving
+                )
+                children += 1
+            for bit in domination._bits(und):
+                child = und & ~(1 << bit)
+                assert search.reduce(child, avail, (und, avail)) == self.expected(
+                    g, child, avail, preserving
+                )
+                children += 1
+        assert children >= 500
