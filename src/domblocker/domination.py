@@ -53,16 +53,16 @@ avail marks its closed neighbourhood for forced takes and the closed two-hop
 masks of the undominated vertices in that neighbourhood for element
 dominance; a vertex leaving und marks its closed neighbourhood for candidate
 dominance (a forced take at d marks the two-hop mask of d for all of N[d]).
-No rule can make itself fire again (a forced take clears every undominated vertex whose live set it
-shrinks, candidate dominance clears only avail, element dominance only
-und), so each walk reads its marks once, when it starts, and visits them in
-ascending order. The root starts fully marked; a child starts marked only
-where the bits it lost since its parent's fixpoint can act. An unmarked
-vertex would not fire if checked, so every pass fires the same reductions
-in the same order as a pass over every vertex: γ, witnesses, node counts and
-the MDS visit order are those of full passes. The tests check ``reduce``
-against a full-pass reference (``tests/bruteforce.py``) and pin whole search
-trees (``tests/golden/search_trees.json``).
+No rule can make itself fire again (a forced take clears every undominated
+vertex whose live set it shrinks, candidate dominance clears only avail,
+element dominance only und), so each walk reads its marks once, when it
+starts, and visits them in ascending order. The root starts fully marked; a
+child starts marked only where the bits it lost since its parent's fixpoint
+can act. An unmarked vertex would not fire if checked, so every pass fires
+the same reductions in the same order as a pass over every vertex: γ,
+witnesses, node counts and the MDS visit order are those of full passes. The
+tests check ``reduce`` against a full-pass reference (``tests/bruteforce.py``)
+and pin whole search trees (``tests/golden/search_trees.json``).
 
 Everything is deterministic: ties break toward the lowest vertex id.
 

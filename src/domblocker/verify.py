@@ -13,13 +13,11 @@ that graph only: the ``contraction`` suite walks its corpus once and evaluates
 both of its claims with one table per graph, and the ``subcubic`` suite shares
 one table between the two claims of each formula. So γ of a graph, and of each
 of its single-edge contractions, is solved once per graph instead of once per
-asking side, and each contraction is built once. The ``subcubic`` suite also
-builds each formula's graph and brute-forces its satisfiability once, and
-hands both to the two claims. Only γ values, contracted graphs and the
-formula's build and brute-force class are shared: the definitional
-contract-and-compare oracle, the characterization, the all-independent
-decider and the contraction search each still run their own code path, and
-brute-force satisfiability stays independent of every γ. Each claim keeps its
+asking side, and each contraction is built once. Only γ values and
+contracted graphs are shared: the definitional contract-and-compare oracle,
+the characterization, the all-independent decider and the contraction search
+each still run their own code path, and brute-force satisfiability stays
+independent of every γ. Each claim keeps its
 own verdict: its first failure or skip, with the same counts and details as
 when it runs alone. Under a budget a claim is ``skipped`` no more often than
 with every γ solved afresh, and sometimes less: a table hit costs no search
@@ -108,47 +106,28 @@ def _table(table: Optional[GammaTable] = None) -> GammaTable:
 # -- subcubic construction checks ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class _SubcubicCase:
-    """A 1-in-3 formula's subcubic build and its brute-force class, made once
-    and read by both subcubic claims."""
-
-    instance: str
-    graph: LabeledGraph
-    rmap: reductions.SubcubicReductionMap
-    sat: bool
-    hint: Optional[frozenset[int]]  # the assignment's dominating set, when sat
-
-
-def _subcubic_case(f: Formula1in3) -> _SubcubicCase:
-    assignment = solve_1in3_brute(f)
-    g, rmap = reductions.build_subcubic(f)
-    hint = reductions.assignment_to_mds_subcubic(rmap, assignment) if assignment else None
-    instance = f"1in3 formula |X|={f.num_vars} clauses={list(f.clauses)}"
-    return _SubcubicCase(instance, g, rmap, assignment is not None, hint)
-
-
 def verify_subcubic_gamma(
     f: Formula1in3, budget: Optional[int] = None, table: Optional[GammaTable] = None
 ) -> ClaimVerdict:
     """Satisfiability (brute force) iff gamma equals the floor 3|X| + |C|."""
-    return _subcubic_gamma(_subcubic_case(f), budget, _table(table))
-
-
-def _subcubic_gamma(case: _SubcubicCase, budget, table: GammaTable) -> ClaimVerdict:
     claim = "subcubic-gamma-iff-sat"
+    instance = f"1in3 formula |X|={f.num_vars} clauses={list(f.clauses)}"
+    assignment = solve_1in3_brute(f)
+    g, rmap = reductions.build_subcubic(f)
+    hint = reductions.assignment_to_mds_subcubic(rmap, assignment) if assignment else None
     try:
-        gamma = table.solve(case.graph, budget, case.hint).gamma
+        gamma = _table(table).solve(g, budget, hint).gamma
     except BudgetExceeded as exc:
-        return _skipped(claim, case.instance, exc)
-    target = case.rmap.expected_gamma()
-    ok = case.sat == (gamma == target) and gamma >= target
+        return _skipped(claim, instance, exc)
+    target = rmap.expected_gamma()
+    sat = assignment is not None
+    ok = sat == (gamma == target) and gamma >= target
     return _verdict(
         claim,
-        case.instance,
+        instance,
         ok,
-        f"sat={case.sat} gamma={gamma} target={target}",
-        {"gamma": gamma, "target": target, "sat": case.sat},
+        f"sat={sat} gamma={gamma} target={target}",
+        {"gamma": gamma, "target": target, "sat": sat},
     )
 
 
@@ -156,18 +135,18 @@ def verify_subcubic_efficiency(
     f: Formula1in3, budget: Optional[int] = None, table: Optional[GammaTable] = None
 ) -> ClaimVerdict:
     """gamma == 3|X| + |C| iff every minimum dominating set is efficient."""
-    return _subcubic_efficiency(_subcubic_case(f), budget, _table(table))
-
-
-def _subcubic_efficiency(case: _SubcubicCase, budget, table: GammaTable) -> ClaimVerdict:
     claim = "subcubic-all-efficient-iff-tight"
-    g = case.graph
+    instance = f"1in3 formula |X|={f.num_vars} clauses={list(f.clauses)}"
+    g, rmap = reductions.build_subcubic(f)
+    assignment = solve_1in3_brute(f)
+    hint = reductions.assignment_to_mds_subcubic(rmap, assignment) if assignment else None
+    table = _table(table)
     try:
-        gamma = table.solve(g, budget, case.hint).gamma
+        gamma = table.solve(g, budget, hint).gamma
         efficient = all_efficient_md(g, budget, table)
     except BudgetExceeded as exc:
-        return _skipped(claim, case.instance, exc)
-    tight = gamma == case.rmap.expected_gamma()
+        return _skipped(claim, instance, exc)
+    tight = gamma == rmap.expected_gamma()
     ok = tight == efficient.holds
     counter = None
     if not efficient.holds:
@@ -175,9 +154,7 @@ def _subcubic_efficiency(case: _SubcubicCase, budget, table: GammaTable) -> Clai
         # the witness must re-verify as a non-efficient minimum dominating set
         ok = ok and is_dominating(g, efficient.witness) and not is_efficient(g, efficient.witness)
         counter = {"non_efficient_mds": witness, "gamma": gamma}
-    return _verdict(
-        claim, case.instance, ok, f"tight={tight} all_efficient={efficient.holds}", counter
-    )
+    return _verdict(claim, instance, ok, f"tight={tight} all_efficient={efficient.holds}", counter)
 
 
 def check_subcubic_gadget_bounds(
@@ -486,10 +463,9 @@ def suite_subcubic(
     for _ in range(random_instances):
         fixtures.append(gen_1in3(rng.choice((3, 4)), rng.randrange(1 << 30)))
     for f in fixtures:
-        case = _subcubic_case(f)
         table = _table()
-        verdicts.append(_subcubic_gamma(case, budget, table))
-        verdicts.append(_subcubic_efficiency(case, budget, table))
+        verdicts.append(verify_subcubic_gamma(f, budget, table))
+        verdicts.append(verify_subcubic_efficiency(f, budget, table))
     return verdicts
 
 

@@ -110,25 +110,6 @@ class TestSuites:
         assert [v.status for v in verdicts] == ["pass", "pass"]
 
 
-class TestSubcubicBuildOnce:
-    def test_each_formula_built_and_solved_once(self, monkeypatch):
-        builds, solves = [], []
-        build, brute = verify_mod.reductions.build_subcubic, verify_mod.solve_1in3_brute
-        monkeypatch.setattr(
-            verify_mod.reductions, "build_subcubic", lambda f: builds.append(f) or build(f)
-        )
-        monkeypatch.setattr(verify_mod, "solve_1in3_brute", lambda f: solves.append(f) or brute(f))
-        verdicts = suite_subcubic(random_instances=2, seed=5)
-        formulas = solves[:]  # the two fixtures and the two random draws
-        assert formulas[:2] == [satisfiable_fixture(), unsatisfiable_fixture()]
-        assert len(formulas) == 4
-        assert builds == [satisfiable_fixture()] + formulas  # the nine-cycle check, then one each
-        alone = [verify_nine_cycle_gadget()]
-        for f in formulas:
-            alone += [verify_subcubic_gamma(f), verify_subcubic_efficiency(f)]
-        assert [v.to_json_dict() for v in verdicts] == [v.to_json_dict() for v in alone]
-
-
 class TestContractionSinglePass:
     """suite_contraction walks its corpus once for both claims; each claim
     still reports what it reports when it runs alone."""
