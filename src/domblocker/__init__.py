@@ -3,16 +3,15 @@ edge-contraction blocker deciders, and the gadget constructions that tie them
 to formula satisfiability, all with independent brute-force oracles."""
 
 from .graphs import (
+    BudgetExceeded,
     GraphError,
     InducedPathResult,
     LabeledGraph,
     PLAIN,
-    SearchBudgetExceeded,
     VertexLabel,
     complete_graph,
     cycle_graph,
     find_claw,
-    find_induced_path,
     is_claw_free,
     is_pk_free,
     path_graph,
@@ -29,7 +28,6 @@ from .graphio import (
 )
 from .domination import (
     BlockerReport,
-    BudgetExceeded,
     CT_IMPOSSIBLE,
     Decision,
     GammaResult,

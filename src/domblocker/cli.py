@@ -23,7 +23,7 @@ from .cnf import (
     gen_3sat,
     parse_dimacs_cnf,
 )
-from .domination import BudgetExceeded, blocker_report, ct_gamma, domination_number
+from .domination import BudgetExceeded, GammaTable, blocker_report, ct_gamma, domination_number
 from .domination import all_efficient_md, all_independent_md, one_contraction_decision
 from .graphio import (
     FormatError,
@@ -178,35 +178,35 @@ def cmd_build(target, input_path, fmt, output, dot_path, g6_path, map_path):
     default="blocker",
     show_default=True,
 )
-@click.option("--budget", type=int, default=None, callback=_validate_budget, help="Search-node budget (default: DOMBLOCKER_BUDGET).")
+@click.option("--budget", type=int, default=None, callback=_validate_budget, help="Search-node budget of the whole command (default: DOMBLOCKER_BUDGET).")
 @click.option("-o", "--output", default="-", show_default=True)
 def cmd_solve(input_path, fmt, what, budget, output):
     """Solve domination/blocker questions for a graph, reporting JSON."""
     g = _read_graph(input_path, fmt)
-    budget = budget if budget is not None else _default_budget()
+    table = GammaTable(budget if budget is not None else _default_budget())
     try:
         if what == "gamma":
-            result = domination_number(g, budget)
+            result = domination_number(g, table)
             payload = {"gamma": result.gamma, "witness": sorted(result.witness)}
         elif what == "ct":
-            payload = {"ct_gamma": ct_gamma(g, max_k=3, budget=budget)}
+            payload = {"ct_gamma": ct_gamma(g, table)}
         elif what == "all-efficient":
-            decision = all_efficient_md(g, budget)
+            decision = all_efficient_md(g, table)
             payload = {"all_efficient": "yes" if decision.holds else "no"}
             if not decision.holds:
                 payload["witness"] = sorted(decision.witness)
         elif what == "all-independent":
-            decision = all_independent_md(g, budget)
+            decision = all_independent_md(g, table)
             payload = {"all_independent": "yes" if decision.holds else "no"}
             if not decision.holds:
                 payload["witness"] = sorted(decision.witness)
         elif what == "one-contraction":
-            decision = one_contraction_decision(g, budget)
+            decision = one_contraction_decision(g, table)
             payload = {"one_contraction": "yes" if decision.holds else "no"}
             if decision.holds:
                 payload["witness_edge"] = list(decision.witness)
         else:
-            report = blocker_report(g, budget)
+            report = blocker_report(g, table)
             payload = report.to_json_dict()
             if payload.get("ct_gamma") == "unknown":
                 _write_text(output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -230,12 +230,11 @@ def cmd_solve(input_path, fmt, what, budget, output):
 )
 @click.option("--random-count", type=int, default=200, show_default=True, help="Random corpus size (contraction suite).")
 @click.option("--seed", type=int, default=2024, show_default=True)
-@click.option("--budget", type=int, default=None, callback=_validate_budget, help="Search-node budget (default: DOMBLOCKER_BUDGET).")
+@click.option("--budget", type=int, default=None, callback=_validate_budget, help="Search-node budget of the whole command (default: DOMBLOCKER_BUDGET).")
 @click.option("-o", "--output", default="-", show_default=True)
 def cmd_verify(suite, max_n, random_count, seed, budget, output):
     """Run a verification suite; exit 0 only if every check passes."""
-    budget = budget if budget is not None else _default_budget()
-    common = {"budget": budget}
+    common = {"table": GammaTable(budget if budget is not None else _default_budget())}
     per_suite = {
         "contraction": {"max_n": max_n, "random_count": random_count, "seed": seed, **common},
         "subcubic": {"seed": seed, **common},

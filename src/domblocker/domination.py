@@ -66,18 +66,20 @@ and pin whole search trees (``tests/golden/search_trees.json``).
 
 Everything is deterministic: ties break toward the lowest vertex id.
 
-The deciders, both contraction oracles, ``ct_gamma`` and ``blocker_report``
-ask for γ through a ``GammaTable``: the γ results of the graphs met while
-analysing one input graph, keyed by adjacency. Each takes the table as its
-optional ``table`` argument and makes a fresh one when it is absent, so a
-caller that analyses one graph several ways (``blocker_report``, the
-``verify`` suites) passes one table along and solves γ of each graph once:
-the input graph itself and, shared between the definitional oracle and the
-first level of ``ct_gamma``, each single-edge contraction, which the table
-also builds only once. Only the γ values of identical graphs and the
-contracted graphs themselves are shared; every decider still runs its own
-enumeration or contraction search. A table lives for one input graph and is
-then dropped.
+A ``GammaTable`` is the context of one command: its node budget, the one
+count of search nodes that every search made through it adds to, and the γ
+results of the graphs met, keyed by adjacency. Every public operation takes
+the table as its optional ``table`` argument and makes an unbudgeted one when
+it is absent, so the budget bounds the whole command: ``BudgetExceeded`` is
+raised at node N + 1 of all its searches together, not of each. A caller that
+analyses one graph several ways (``blocker_report``, the ``verify`` suites)
+passes one table along and solves γ of each graph once: the input graph
+itself and, shared between the definitional oracle and the first level of
+``ct_gamma``, each single-edge contraction, which the table also builds only
+once. Only the γ values of identical graphs and the contracted graphs
+themselves are shared; every decider still runs its own enumeration or
+contraction search. ``forget`` drops what the table stores, keeping the count,
+once a caller moves on to another input graph.
 """
 
 from __future__ import annotations
@@ -86,15 +88,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .graphs import GraphError, LabeledGraph
-
-
-class BudgetExceeded(Exception):
-    """The solver ran out of its search-node budget before finishing."""
-
-    def __init__(self, nodes: int):
-        super().__init__(f"solver budget exceeded after {nodes} nodes")
-        self.nodes = nodes
+from .graphs import BudgetExceeded, GraphError, LabeledGraph
 
 
 @dataclass(frozen=True)
@@ -187,18 +181,18 @@ class _Search:
     """Shared machinery for the optimizer and the enumerator.
 
     ``solution_preserving`` selects the reductions: the enumerator must keep
-    every minimum dominating set, so it skips candidate dominance.
+    every minimum dominating set, so it skips candidate dominance. Each node
+    ticks ``table``'s count (a fresh unbudgeted table's when None).
     """
 
     solution_preserving = False
 
-    def __init__(self, g: LabeledGraph, budget: Optional[int]):
+    def __init__(self, g: LabeledGraph, table: Optional[GammaTable]):
         self.g = g
         self.nb = nb = g.closed_masks
         self.n = g.n
         self.full = (1 << g.n) - 1
-        self.budget = budget
-        self.nodes = 0
+        self.tick = (GammaTable() if table is None else table).tick
         two = []
         near = []
         for v, adj in enumerate(g.adj):
@@ -212,11 +206,6 @@ class _Search:
             near.append(sorted(hop))
         self.two = two  # closed two-hop masks
         self.near = near  # two-hop neighbours without v itself, ascending
-
-    def tick(self):
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise BudgetExceeded(self.nodes)
 
     def greedy_cover(self) -> list[int]:
         """Greedy max-coverage dominating set; the initial upper bound."""
@@ -493,8 +482,8 @@ class _Enumerator(_Search):
 
     solution_preserving = True
 
-    def __init__(self, g: LabeledGraph, gamma: int, budget: Optional[int]):
-        super().__init__(g, budget)
+    def __init__(self, g: LabeledGraph, gamma: int, table: Optional[GammaTable]):
+        super().__init__(g, table)
         self.gamma = gamma
 
     def visit_all(self, emit: Callable[[frozenset[int]], bool]) -> bool:
@@ -536,52 +525,61 @@ class _Enumerator(_Search):
 
 def domination_number(
     g: LabeledGraph,
-    budget: Optional[int] = None,
+    table: Optional[GammaTable] = None,
     hint: Optional[frozenset[int]] = None,
 ) -> GammaResult:
     """Exact domination number with a witness minimum dominating set.
 
-    ``hint`` may carry a known dominating set used as the initial upper bound;
-    optimality is proved by the search either way. Connectivity not required.
+    The search counts its nodes against ``table`` and stores nothing in it
+    (``GammaTable.solve`` is the stored way to ask). ``hint`` may carry a
+    known dominating set used as the initial upper bound; optimality is
+    proved by the search either way. Connectivity not required.
     """
     if g.n == 0:
         raise GraphError("domination number of the empty graph is undefined")
-    size, witness = _Optimizer(g, budget).run(hint)
+    size, witness = _Optimizer(g, table).run(hint)
     return GammaResult(size, witness)
 
 
 class GammaTable:
-    """γ results of the graphs met while analysing one input graph.
+    """The context of one command: its node budget, its node count, and the γ
+    results and single-edge contractions of the graphs it met.
+
+    Every search handed the table ticks its one counter ``nodes``; past
+    ``budget`` (None: no limit) the search raises ``BudgetExceeded``, and so
+    does every later search, so the budget bounds the whole command. The
+    count stops at budget + 1, the node that was refused.
 
     Results are keyed by adjacency (``g.adj``); labels play no part. A miss
-    calls ``solver`` (by default this module's ``domination_number``, looked
-    up at call time) and stores what it returns; a ``BudgetExceeded`` passes
-    through and nothing is stored, so the next ask solves again. A hit costs
-    no search nodes. ``hint`` only seeds a miss: a hit returns the stored
-    result whatever hint solved it, with the same γ and possibly another
-    witness. ``contract`` builds each single-edge contraction once, so the
-    definitional oracle and the first level of ``ct_gamma`` share the graphs
-    as well as their γ. The table keeps every graph it was asked about alive,
-    so scope it to one input graph and drop it afterwards.
+    calls this module's ``domination_number`` (looked up at call time) and
+    stores what it returns; a ``BudgetExceeded`` passes through and nothing
+    is stored. A hit costs no search nodes. ``hint`` only seeds a miss: a hit
+    returns the stored result whatever hint solved it, with the same γ and
+    possibly another witness. ``contract`` builds each single-edge
+    contraction once, so the definitional oracle and the first level of
+    ``ct_gamma`` share the graphs as well as their γ. The table keeps every
+    graph it was asked about alive until ``forget``, which a caller calls
+    when it moves on to another input graph.
     """
 
-    def __init__(self, solver: Optional[Callable[..., GammaResult]] = None):
-        self._solver = solver
+    def __init__(self, budget: Optional[int] = None):
+        self.budget = budget
+        self.nodes = 0
         self._results: dict[tuple[frozenset[int], ...], GammaResult] = {}
         self._contractions: dict[tuple, LabeledGraph] = {}
 
-    def solve(
-        self,
-        g: LabeledGraph,
-        budget: Optional[int] = None,
-        hint: Optional[frozenset[int]] = None,
-    ) -> GammaResult:
+    def tick(self):
+        """Count one search node; raise ``BudgetExceeded`` past the budget."""
+        self.nodes += 1
+        if self.budget is not None and self.nodes > self.budget:
+            self.nodes = self.budget + 1
+            raise BudgetExceeded(self.nodes)
+
+    def solve(self, g: LabeledGraph, hint: Optional[frozenset[int]] = None) -> GammaResult:
         """γ of g with a witness, solved at most once per adjacency."""
         result = self._results.get(g.adj)
         if result is None:
-            solver = self._solver or domination_number
-            result = solver(g, budget, hint)
-            self._results[g.adj] = result
+            result = self._results[g.adj] = domination_number(g, self, hint)
         return result
 
     def contract(self, g: LabeledGraph, u: int, v: int) -> LabeledGraph:
@@ -592,24 +590,29 @@ class GammaTable:
             contracted = self._contractions[key] = g.contract_edge(u, v)
         return contracted
 
+    def forget(self):
+        """Drop the stored results and contractions; the node count stays."""
+        self._results.clear()
+        self._contractions.clear()
+
 
 def visit_minimum_dominating_sets(
     g: LabeledGraph,
     visitor: Callable[[frozenset[int]], bool],
-    budget: Optional[int] = None,
+    table: Optional[GammaTable] = None,
     gamma: Optional[int] = None,
 ) -> int:
     """Stream every minimum dominating set to the visitor, which returns False
     to stop early. Order is the deterministic search-tree order (not sorted);
     each set is visited exactly once. Returns gamma."""
     if gamma is None:
-        gamma = domination_number(g, budget).gamma
-    _Enumerator(g, gamma, budget).visit_all(visitor)
+        gamma = domination_number(g, table).gamma
+    _Enumerator(g, gamma, table).visit_all(visitor)
     return gamma
 
 
 def enumerate_minimum_dominating_sets(
-    g: LabeledGraph, budget: Optional[int] = None
+    g: LabeledGraph, table: Optional[GammaTable] = None
 ) -> Iterator[frozenset[int]]:
     """Yield every minimum dominating set, in lexicographic order of sorted members."""
     found: list[frozenset[int]] = []
@@ -618,51 +621,42 @@ def enumerate_minimum_dominating_sets(
         found.append(s)
         return True
 
-    visit_minimum_dominating_sets(g, grab, budget)
+    visit_minimum_dominating_sets(g, grab, table)
     yield from sorted(found, key=sorted)
 
 
-def all_efficient_md(
-    g: LabeledGraph, budget: Optional[int] = None, table: Optional[GammaTable] = None
+def _every_minimum_set(
+    g: LabeledGraph,
+    table: Optional[GammaTable],
+    holds: Callable[[LabeledGraph, frozenset[int]], bool],
 ) -> Decision:
+    """Does every minimum dominating set satisfy ``holds``? Witness: one that does not."""
+    if not g.is_connected():
+        raise GraphError("decider requires a connected graph")
+    table = GammaTable() if table is None else table
+    bad: list[frozenset[int]] = []
+
+    def check(s: frozenset[int]) -> bool:
+        if not holds(g, s):
+            bad.append(s)
+            return False
+        return True
+
+    visit_minimum_dominating_sets(g, check, table, table.solve(g).gamma)
+    return Decision(not bad, bad[0] if bad else None)
+
+
+def all_efficient_md(g: LabeledGraph, table: Optional[GammaTable] = None) -> Decision:
     """Is every minimum dominating set efficient? Witness: a non-efficient MDS."""
-    if not g.is_connected():
-        raise GraphError("decider requires a connected graph")
-    table = GammaTable() if table is None else table
-    bad: list[frozenset[int]] = []
-
-    def check(s: frozenset[int]) -> bool:
-        if not is_efficient(g, s):
-            bad.append(s)
-            return False
-        return True
-
-    visit_minimum_dominating_sets(g, check, budget, table.solve(g, budget).gamma)
-    return Decision(not bad, bad[0] if bad else None)
+    return _every_minimum_set(g, table, is_efficient)
 
 
-def all_independent_md(
-    g: LabeledGraph, budget: Optional[int] = None, table: Optional[GammaTable] = None
-) -> Decision:
+def all_independent_md(g: LabeledGraph, table: Optional[GammaTable] = None) -> Decision:
     """Is every minimum dominating set independent? Witness: a non-independent MDS."""
-    if not g.is_connected():
-        raise GraphError("decider requires a connected graph")
-    table = GammaTable() if table is None else table
-    bad: list[frozenset[int]] = []
-
-    def check(s: frozenset[int]) -> bool:
-        if not is_independent(g, s):
-            bad.append(s)
-            return False
-        return True
-
-    visit_minimum_dominating_sets(g, check, budget, table.solve(g, budget).gamma)
-    return Decision(not bad, bad[0] if bad else None)
+    return _every_minimum_set(g, table, is_independent)
 
 
-def one_contraction_decision(
-    g: LabeledGraph, budget: Optional[int] = None, table: Optional[GammaTable] = None
-) -> Decision:
+def one_contraction_decision(g: LabeledGraph, table: Optional[GammaTable] = None) -> Decision:
     """Can a single edge contraction decrease the domination number?
 
     Decided through the classical characterization: one contraction suffices
@@ -672,9 +666,9 @@ def one_contraction_decision(
     if not g.is_connected():
         raise GraphError("contraction decision requires a connected graph")
     table = GammaTable() if table is None else table
-    if table.solve(g, budget).gamma == 1:
+    if table.solve(g).gamma == 1:
         return Decision(False)
-    verdict = all_independent_md(g, budget, table)
+    verdict = all_independent_md(g, table)
     if verdict.holds:
         return Decision(False)
     witness_set = verdict.witness
@@ -683,57 +677,49 @@ def one_contraction_decision(
 
 
 def one_contraction_definitional(
-    g: LabeledGraph, budget: Optional[int] = None, table: Optional[GammaTable] = None
+    g: LabeledGraph, table: Optional[GammaTable] = None
 ) -> Decision:
     """Ground-truth oracle: contract each edge in turn and compare gammas."""
     if not g.is_connected():
         raise GraphError("contraction decision requires a connected graph")
     table = GammaTable() if table is None else table
-    gamma = table.solve(g, budget).gamma
+    gamma = table.solve(g).gamma
     for u, v in g.edges():
-        if table.solve(table.contract(g, u, v), budget).gamma < gamma:
+        if table.solve(table.contract(g, u, v)).gamma < gamma:
             return Decision(True, (u, v))
     return Decision(False)
 
 
-def ct_gamma(
-    g: LabeledGraph,
-    max_k: int = 3,
-    budget: Optional[int] = None,
-    table: Optional[GammaTable] = None,
-) -> int | str:
-    """Minimum number of contractions decreasing gamma, searching depth <= max_k.
+def ct_gamma(g: LabeledGraph, table: Optional[GammaTable] = None) -> int | str:
+    """Minimum number of contractions decreasing gamma, searching depth <= 3.
 
     Returns CT_IMPOSSIBLE when gamma(g) = 1 (no contraction sequence can ever
-    help) or when no sequence within max_k succeeds; for connected graphs with
-    gamma >= 2 and max_k = 3 the classical bound guarantees a numeric answer.
+    help) or when no sequence of at most three succeeds; for connected graphs
+    with gamma >= 2 the classical bound guarantees a numeric answer.
     """
-    if not 1 <= max_k <= 3:
-        raise GraphError(f"max_k must be in 1..3, got {max_k}")
     if not g.is_connected():
         raise GraphError("contraction search requires a connected graph")
     table = GammaTable() if table is None else table
-    gamma = table.solve(g, budget).gamma
+    gamma = table.solve(g).gamma
     if gamma == 1:
         return CT_IMPOSSIBLE
     level = {g.adj: g}
-    for k in range(1, max_k + 1):
+    for k in (1, 2, 3):
         # single contractions and their γ go through the table, which the
         # definitional oracle shares; deeper ones are this search's alone and
         # are built and solved directly, since storing them would keep up to
-        # m^k graphs alive. A graph met again on a level kept below max_k was
-        # solved already.
-        contract = table.contract if k == 1 else LabeledGraph.contract_edge
-        solve = table.solve if k == 1 else domination_number
+        # m^k graphs alive. A graph met again on a level kept below depth 3
+        # was solved already.
         next_level: dict = {}
         for h in level.values():
             for u, v in h.edges():
-                contracted = contract(h, u, v)
+                contracted = table.contract(h, u, v) if k == 1 else h.contract_edge(u, v)
                 if contracted.adj in next_level:
                     continue
-                if solve(contracted, budget).gamma <= gamma - 1:
+                found = table.solve(contracted) if k == 1 else domination_number(contracted, table)
+                if found.gamma < gamma:
                     return k
-                if k < max_k:
+                if k < 3:
                     next_level[contracted.adj] = contracted
         level = next_level
     return CT_IMPOSSIBLE
@@ -769,17 +755,18 @@ class BlockerReport:
         }
 
 
-def blocker_report(g: LabeledGraph, budget: Optional[int] = None) -> BlockerReport:
+def blocker_report(g: LabeledGraph, table: Optional[GammaTable] = None) -> BlockerReport:
     """Full contraction-blocker classification of a connected graph.
 
-    One ``GammaTable`` serves every part, so γ of g is solved once.
+    One ``GammaTable`` serves every part, so γ of g is solved once. When the
+    table's budget runs out in ``ct_gamma`` the report says ``"unknown"``.
     """
     if not g.is_connected():
         raise GraphError("blocker report requires a connected graph")
-    table = GammaTable()
-    result = table.solve(g, budget)
-    efficient = all_efficient_md(g, budget, table)
-    independent = all_independent_md(g, budget, table)
+    table = GammaTable() if table is None else table
+    result = table.solve(g)
+    efficient = all_efficient_md(g, table)
+    independent = all_independent_md(g, table)
     if result.gamma == 1:
         one = Decision(False)
         ct: int | str = CT_IMPOSSIBLE
@@ -789,7 +776,7 @@ def blocker_report(g: LabeledGraph, budget: Optional[int] = None) -> BlockerRepo
         else:
             one = Decision(True, set_edges(g, independent.witness)[0])
         try:
-            ct = ct_gamma(g, max_k=3, budget=budget, table=table)
+            ct = ct_gamma(g, table)
         except BudgetExceeded:
             ct = "unknown"
     return BlockerReport(result.gamma, result.witness, one, efficient, independent, ct)

@@ -67,6 +67,14 @@ class GraphError(ValueError):
     """Invalid graph construction or operation request."""
 
 
+class BudgetExceeded(Exception):
+    """A search ran out of its node budget before finishing."""
+
+    def __init__(self, nodes: int):
+        super().__init__(f"solver budget exceeded after {nodes} nodes")
+        self.nodes = nodes
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """Simple undirected graph on vertices 0..n-1 with per-vertex labels.
@@ -110,9 +118,6 @@ class LabeledGraph:
         return LabeledGraph(n, tuple(frozenset(s) for s in adj), labels)
 
     # -- basic queries ----------------------------------------------------
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
         return self.adj[v] | {v}
@@ -271,14 +276,6 @@ def is_claw_free(g: LabeledGraph) -> bool:
 # -- induced path recognition ------------------------------------------------
 
 
-class SearchBudgetExceeded(Exception):
-    """A bounded search ran out of its node budget before deciding."""
-
-    def __init__(self, nodes: int):
-        super().__init__(f"search budget exceeded after {nodes} nodes")
-        self.nodes = nodes
-
-
 @dataclass(frozen=True)
 class InducedPathResult:
     """Outcome of an induced-path search.
@@ -291,21 +288,17 @@ class InducedPathResult:
     witness: Optional[tuple[int, ...]] = None
     nodes: int = 0
 
-    @property
-    def is_free(self) -> bool:
-        if self.status == "budget_exceeded":
-            raise SearchBudgetExceeded(self.nodes)
-        return self.status == "free"
 
+def is_pk_free(g: LabeledGraph, k: int, budget: Optional[int] = None) -> InducedPathResult:
+    """Decide whether g has no induced path on k vertices, by DFS extension.
 
-def find_induced_path(g: LabeledGraph, k: int, budget: Optional[int] = None) -> InducedPathResult:
-    """Search for an induced path on exactly k vertices by DFS extension.
-
-    Grows simple paths one endpoint at a time, pruning any extension adjacent
-    to a non-tip path vertex (which would chord the path). Every induced path
-    is reached from each of its two endpoints, so trying all start vertices is
-    exhaustive. The node budget counts extension attempts; exceeding it yields
-    a "budget_exceeded" result, never a wrong answer.
+    "free" means no such path exists; "found" carries the path, in order, as
+    the counterexample witness. Grows simple paths one endpoint at a time,
+    pruning any extension adjacent to a non-tip path vertex (which would chord
+    the path). Every induced path is reached from each of its two endpoints,
+    so trying all start vertices is exhaustive. The node budget counts
+    extension attempts; exceeding it yields a "budget_exceeded" result, never
+    a wrong answer.
     """
     if k < 1:
         raise GraphError(f"path length must be >= 1, got {k}")
@@ -331,7 +324,7 @@ def find_induced_path(g: LabeledGraph, k: int, budget: Optional[int] = None) -> 
                 continue
             nodes += 1
             if budget is not None and nodes > budget:
-                raise SearchBudgetExceeded(nodes)
+                raise BudgetExceeded(nodes)
             # w may touch only the current tip: anything adjacent to an
             # earlier path vertex would create a chord.
             path.append(w)
@@ -345,23 +338,13 @@ def find_induced_path(g: LabeledGraph, k: int, budget: Optional[int] = None) -> 
         for start in range(g.n):
             nodes += 1
             if budget is not None and nodes > budget:
-                raise SearchBudgetExceeded(nodes)
+                raise BudgetExceeded(nodes)
             found = extend([start], 1 << start)
             if found is not None:
                 return InducedPathResult("found", found, nodes)
-    except SearchBudgetExceeded as exc:
+    except BudgetExceeded as exc:
         return InducedPathResult("budget_exceeded", None, exc.nodes)
     return InducedPathResult("free", None, nodes)
-
-
-def is_pk_free(g: LabeledGraph, k: int, budget: Optional[int] = None) -> InducedPathResult:
-    """Decide whether g has no induced path on k vertices.
-
-    "free" means no such path exists; "found" carries the path as the
-    counterexample witness. Use ``.is_free`` when a boolean is wanted and the
-    budget is known to suffice.
-    """
-    return find_induced_path(g, k, budget)
 
 
 def induced_subgraph(g: LabeledGraph, vertices: Iterable[int]) -> LabeledGraph:

@@ -5,23 +5,26 @@ Each check compares two independently computed sides (brute-force formula
 satisfiability vs. exact domination numbers, definitional edge-contraction
 oracles vs. the characterization through non-independent minimum dominating
 sets, structural recognizers vs. construction intent). A verdict is "pass",
-"fail" (with a re-checkable counterexample payload), or "skipped" when a
-solver budget ran out; failures are never silently truncated.
+"fail" (with a re-checkable counterexample payload), or "skipped" when the
+node budget ran out; failures are never silently truncated.
 
-A claim analyses each input graph through one ``GammaTable``, which lives for
-that graph only: the ``contraction`` suite walks its corpus once and evaluates
-both of its claims with one table per graph, and the ``subcubic`` suite shares
-one table between the two claims of each formula. So γ of a graph, and of each
-of its single-edge contractions, is solved once per graph instead of once per
-asking side, and each contraction is built once. Only γ values and
-contracted graphs are shared: the definitional contract-and-compare oracle,
-the characterization, the all-independent decider and the contraction search
-each still run their own code path, and brute-force satisfiability stays
-independent of every γ. Each claim keeps its
-own verdict: its first failure or skip, with the same counts and details as
-when it runs alone. Under a budget a claim is ``skipped`` no more often than
-with every γ solved afresh, and sometimes less: a table hit costs no search
-nodes, and a miss runs the solve the claim would have run anyway.
+Every claim and suite takes the run's ``GammaTable`` as its ``table`` (and
+makes an unbudgeted one when it is absent), so the table's node budget bounds
+the whole run: once it is spent, every later search raises
+``BudgetExceeded``, and every claim that still needs a search node is
+``skipped``. A claim that finished before keeps its verdict. The table also
+shares γ within one input graph, and the suites ``forget`` its results when
+they move on to the next graph: the ``contraction`` suite walks its corpus
+once and evaluates both of its claims on each graph, and the ``subcubic``
+suite shares the table between the two claims of each formula. So γ of a
+graph, and of each of its single-edge contractions, is solved once per graph
+instead of once per asking side, and each contraction is built once. Only γ
+values and contracted graphs are shared: the definitional contract-and-compare
+oracle, the characterization, the all-independent decider and the contraction
+search each still run their own code path, and brute-force satisfiability
+stays independent of every γ. Without a budget each claim keeps the verdict
+it has when it runs alone: its first failure, with the same counts and
+details.
 """
 
 from __future__ import annotations
@@ -97,18 +100,15 @@ def _skipped(claim, instance, exc: BudgetExceeded) -> ClaimVerdict:
     return ClaimVerdict(claim, instance, "skipped", f"budget exceeded: {exc}")
 
 
-def _table(table: Optional[GammaTable] = None) -> GammaTable:
-    """The caller's table, or a fresh one that solves with this module's
-    ``domination_number``, so a solver put in its place is the one checked."""
-    return GammaTable(domination_number) if table is None else table
+def _table(table: Optional[GammaTable]) -> GammaTable:
+    """The caller's table, or a fresh unbudgeted one."""
+    return GammaTable() if table is None else table
 
 
 # -- subcubic construction checks ----------------------------------------------
 
 
-def verify_subcubic_gamma(
-    f: Formula1in3, budget: Optional[int] = None, table: Optional[GammaTable] = None
-) -> ClaimVerdict:
+def verify_subcubic_gamma(f: Formula1in3, table: Optional[GammaTable] = None) -> ClaimVerdict:
     """Satisfiability (brute force) iff gamma equals the floor 3|X| + |C|."""
     claim = "subcubic-gamma-iff-sat"
     instance = f"1in3 formula |X|={f.num_vars} clauses={list(f.clauses)}"
@@ -116,7 +116,7 @@ def verify_subcubic_gamma(
     g, rmap = reductions.build_subcubic(f)
     hint = reductions.assignment_to_mds_subcubic(rmap, assignment) if assignment else None
     try:
-        gamma = _table(table).solve(g, budget, hint).gamma
+        gamma = _table(table).solve(g, hint).gamma
     except BudgetExceeded as exc:
         return _skipped(claim, instance, exc)
     target = rmap.expected_gamma()
@@ -131,9 +131,7 @@ def verify_subcubic_gamma(
     )
 
 
-def verify_subcubic_efficiency(
-    f: Formula1in3, budget: Optional[int] = None, table: Optional[GammaTable] = None
-) -> ClaimVerdict:
+def verify_subcubic_efficiency(f: Formula1in3, table: Optional[GammaTable] = None) -> ClaimVerdict:
     """gamma == 3|X| + |C| iff every minimum dominating set is efficient."""
     claim = "subcubic-all-efficient-iff-tight"
     instance = f"1in3 formula |X|={f.num_vars} clauses={list(f.clauses)}"
@@ -142,8 +140,8 @@ def verify_subcubic_efficiency(
     hint = reductions.assignment_to_mds_subcubic(rmap, assignment) if assignment else None
     table = _table(table)
     try:
-        gamma = table.solve(g, budget, hint).gamma
-        efficient = all_efficient_md(g, budget, table)
+        gamma = table.solve(g, hint).gamma
+        efficient = all_efficient_md(g, table)
     except BudgetExceeded as exc:
         return _skipped(claim, instance, exc)
     tight = gamma == rmap.expected_gamma()
@@ -176,7 +174,7 @@ def check_subcubic_gadget_bounds(
     return problems
 
 
-def verify_nine_cycle_gadget(budget: Optional[int] = None) -> ClaimVerdict:
+def verify_nine_cycle_gadget(table: Optional[GammaTable] = None) -> ClaimVerdict:
     """The isolated variable gadget has exactly three minimum dominating sets:
     the cycle_u triple, the true triple, and the false triple."""
     claim = "nine-cycle-gadget-minimum-sets"
@@ -190,7 +188,7 @@ def verify_nine_cycle_gadget(budget: Optional[int] = None) -> ClaimVerdict:
     ]
     c9 = LabeledGraph.from_edges(9, sub_edges)
     try:
-        found = {frozenset(s) for s in enumerate_minimum_dominating_sets(c9, budget)}
+        found = {frozenset(s) for s in enumerate_minimum_dominating_sets(c9, table)}
     except BudgetExceeded as exc:
         return _skipped(claim, "isolated 9-cycle variable gadget", exc)
     expected = {
@@ -247,7 +245,9 @@ def check_replacement_gadget_bounds(
     return problems
 
 
-def verify_clawfree_offset(g: LabeledGraph, instance: str, budget: Optional[int] = None) -> ClaimVerdict:
+def verify_clawfree_offset(
+    g: LabeledGraph, instance: str, table: Optional[GammaTable] = None
+) -> ClaimVerdict:
     """gamma(replacement(g)) == gamma(g) + 5|V_3| + 2|V_2|, with the lift and
     projection round-trips checked, gadget bounds on every found set, and the
     structural certificate."""
@@ -257,9 +257,9 @@ def verify_clawfree_offset(g: LabeledGraph, instance: str, budget: Optional[int]
     if not structure.passed:
         return structure
     try:
-        source_result = domination_number(g, budget)
+        source_result = domination_number(g, table)
         lifted = reductions.lift_dominating_set(rmap, source_result.witness)
-        target_result = domination_number(target, budget, hint=lifted)
+        target_result = domination_number(target, table, hint=lifted)
     except BudgetExceeded as exc:
         return _skipped(claim, instance, exc)
     expected = source_result.gamma + rmap.offset()
@@ -295,7 +295,9 @@ def verify_clawfree_offset(g: LabeledGraph, instance: str, budget: Optional[int]
 # -- triangle/clique construction checks --------------------------------------------
 
 
-def verify_triangle_construction(f: Formula3Sat, budget: Optional[int] = None) -> ClaimVerdict:
+def verify_triangle_construction(
+    f: Formula3Sat, table: Optional[GammaTable] = None
+) -> ClaimVerdict:
     """Three-way equivalence: satisfiable (brute force) iff gamma == |X| iff
     every minimum dominating set is independent; plus the no-induced-P7
     certificate."""
@@ -304,10 +306,10 @@ def verify_triangle_construction(f: Formula3Sat, budget: Optional[int] = None) -
     g, rmap = reductions.build_p7free(f)
     assignment = solve_3sat_brute(f)
     hint = reductions.assignment_to_mds_p7(rmap, assignment) if assignment else None
-    table = _table()
+    table = _table(table)
     try:
-        gamma = table.solve(g, budget, hint).gamma
-        independent = all_independent_md(g, budget, table)
+        gamma = table.solve(g, hint).gamma
+        independent = all_independent_md(g, table)
     except BudgetExceeded as exc:
         return _skipped(claim, instance, exc)
     sat = assignment is not None
@@ -338,15 +340,15 @@ def verify_triangle_construction(f: Formula3Sat, budget: Optional[int] = None) -
 # -- contraction equivalences over a corpus -------------------------------------------
 
 
-def _equivalences(claim, name, g, budget, table) -> Optional[ClaimVerdict]:
+def _equivalences(claim, name, g, table) -> Optional[ClaimVerdict]:
     """The definitional contract-and-compare oracle, the
     non-independent-MDS characterization and the negated all-independent
     decider agree on g, and the characterization's witness edge lowers
     gamma. None when g passes."""
     try:
-        definitional = one_contraction_definitional(g, budget, table)
-        characterized = one_contraction_decision(g, budget, table)
-        independent = all_independent_md(g, budget, table)
+        definitional = one_contraction_definitional(g, table)
+        characterized = one_contraction_decision(g, table)
+        independent = all_independent_md(g, table)
     except BudgetExceeded as exc:
         return _skipped(claim, name, exc)
     agree = definitional.holds == characterized.holds == (not independent.holds)
@@ -354,7 +356,7 @@ def _equivalences(claim, name, g, budget, table) -> Optional[ClaimVerdict]:
     if characterized.holds:
         u, v = characterized.witness
         contracted = table.contract(g, u, v)
-        witness_ok = table.solve(contracted, budget).gamma < table.solve(g, budget).gamma
+        witness_ok = table.solve(contracted).gamma < table.solve(g).gamma
     if agree and witness_ok:
         return None
     return _verdict(
@@ -372,12 +374,12 @@ def _equivalences(claim, name, g, budget, table) -> Optional[ClaimVerdict]:
     )
 
 
-def _bound(claim, name, g, budget, table) -> Optional[ClaimVerdict]:
+def _bound(claim, name, g, table) -> Optional[ClaimVerdict]:
     """g has ct_gamma in 1..3 when gamma >= 2, and CT_IMPOSSIBLE at gamma = 1.
     None when g passes."""
     try:
-        gamma = table.solve(g, budget).gamma
-        ct = ct_gamma(g, max_k=3, budget=budget, table=table)
+        gamma = table.solve(g).gamma
+        ct = ct_gamma(g, table)
     except BudgetExceeded as exc:
         return _skipped(claim, name, exc)
     expected_ok = ct == CT_IMPOSSIBLE if gamma == 1 else ct in (1, 2, 3)
@@ -391,20 +393,21 @@ _EQUIVALENCES = ("contraction-equivalences", _equivalences, "agree")
 _BOUND = ("three-contractions-suffice", _bound, "within bound")
 
 
-def _corpus_verdicts(graphs, budget, claims) -> list[ClaimVerdict]:
+def _corpus_verdicts(graphs, table, claims) -> list[ClaimVerdict]:
     """Evaluate corpus claims in one pass over graphs. Each claim stops at
-    its first failing or skipped graph; the claims still open share one
-    GammaTable per graph, dropped once the graph is done."""
+    its first failing or skipped graph; the claims still open share the
+    table's results for one graph, forgotten before the next."""
+    table = _table(table)
     verdicts: list[Optional[ClaimVerdict]] = [None] * len(claims)
     checked = [0] * len(claims)
     for name, g in graphs:
         open_claims = [i for i, verdict in enumerate(verdicts) if verdict is None]
         if not open_claims:
             break
-        table = _table()
+        table.forget()
         for i in open_claims:
             claim, check, _ = claims[i]
-            verdicts[i] = check(claim, name, g, budget, table)
+            verdicts[i] = check(claim, name, g, table)
             if verdicts[i] is None:
                 checked[i] += 1
     for i, (claim, _, word) in enumerate(claims):
@@ -415,20 +418,20 @@ def _corpus_verdicts(graphs, budget, claims) -> list[ClaimVerdict]:
 
 
 def verify_contraction_equivalences(
-    graphs: Iterable[tuple[str, LabeledGraph]], budget: Optional[int] = None
+    graphs: Iterable[tuple[str, LabeledGraph]], table: Optional[GammaTable] = None
 ) -> ClaimVerdict:
     """For every connected corpus graph, the definitional contract-and-compare
     oracle, the non-independent-MDS characterization, and the negated
     all-independent decider must agree."""
-    return _corpus_verdicts(graphs, budget, [_EQUIVALENCES])[0]
+    return _corpus_verdicts(graphs, table, [_EQUIVALENCES])[0]
 
 
 def verify_contraction_bound(
-    graphs: Iterable[tuple[str, LabeledGraph]], budget: Optional[int] = None
+    graphs: Iterable[tuple[str, LabeledGraph]], table: Optional[GammaTable] = None
 ) -> ClaimVerdict:
     """Connected graphs with gamma >= 2 always admit a gamma-decreasing
     sequence of at most three contractions."""
-    return _corpus_verdicts(graphs, budget, [_BOUND])[0]
+    return _corpus_verdicts(graphs, table, [_BOUND])[0]
 
 
 # -- suites -----------------------------------------------------------------------------
@@ -448,29 +451,30 @@ def suite_contraction(
     max_n: int = 6,
     random_count: int = 200,
     seed: int = 2024,
-    budget: Optional[int] = None,
+    table: Optional[GammaTable] = None,
 ) -> list[ClaimVerdict]:
     corpus = _corpus(max_n, random_count, (7, 8, 9), seed)
-    return _corpus_verdicts(corpus, budget, [_EQUIVALENCES, _BOUND])
+    return _corpus_verdicts(corpus, table, [_EQUIVALENCES, _BOUND])
 
 
 def suite_subcubic(
-    random_instances: int = 10, seed: int = 2024, budget: Optional[int] = None
+    random_instances: int = 10, seed: int = 2024, table: Optional[GammaTable] = None
 ) -> list[ClaimVerdict]:
-    verdicts = [verify_nine_cycle_gadget(budget)]
+    table = _table(table)
+    verdicts = [verify_nine_cycle_gadget(table)]
     fixtures: list[Formula1in3] = [satisfiable_fixture(), unsatisfiable_fixture()]
     rng = random.Random(seed)
     for _ in range(random_instances):
         fixtures.append(gen_1in3(rng.choice((3, 4)), rng.randrange(1 << 30)))
     for f in fixtures:
-        table = _table()
-        verdicts.append(verify_subcubic_gamma(f, budget, table))
-        verdicts.append(verify_subcubic_efficiency(f, budget, table))
+        table.forget()
+        verdicts.append(verify_subcubic_gamma(f, table))
+        verdicts.append(verify_subcubic_efficiency(f, table))
     return verdicts
 
 
 def suite_clawfree(
-    random_instances: int = 5, seed: int = 2024, budget: Optional[int] = None
+    random_instances: int = 5, seed: int = 2024, table: Optional[GammaTable] = None
 ) -> list[ClaimVerdict]:
     cases: list[tuple[str, LabeledGraph]] = [
         ("C4", cycle_graph(4)),
@@ -484,7 +488,7 @@ def suite_clawfree(
     for i in range(random_instances):
         n = rng.randrange(6, 11)
         cases.append((f"random-deg23#{i}(n={n})", random_degree23_graph(n, rng)))
-    verdicts = [verify_clawfree_offset(g, name, budget) for name, g in cases]
+    verdicts = [verify_clawfree_offset(g, name, table) for name, g in cases]
     # the big structural-only certificate: replace the satisfiable fixture's
     # subcubic graph (exact gamma of the result is out of desk-scale reach)
     base_graph, _ = reductions.build_subcubic(satisfiable_fixture())
@@ -514,11 +518,12 @@ def eight_pattern_formula() -> Formula3Sat:
     return Formula3Sat.make(3, pool)
 
 
-def suite_p7(budget: Optional[int] = None, max_clauses: int = 4) -> list[ClaimVerdict]:
+def suite_p7(table: Optional[GammaTable] = None, max_clauses: int = 4) -> list[ClaimVerdict]:
+    table = _table(table)
     verdicts = []
-    for f in all_three_var_formulas(max_clauses):
-        verdicts.append(verify_triangle_construction(f, budget))
-    verdicts.append(verify_triangle_construction(eight_pattern_formula(), budget))
+    for f in all_three_var_formulas(max_clauses) + [eight_pattern_formula()]:
+        table.forget()
+        verdicts.append(verify_triangle_construction(f, table))
     return verdicts
 
 

@@ -159,7 +159,7 @@ def test_criterion_2_three_contractions_bound(contraction_corpus):
         if db.domination_number(g).gamma < 2:
             continue
         checked += 1
-        ct = db.ct_gamma(g, max_k=3)
+        ct = db.ct_gamma(g)
         if ct not in (1, 2, 3):
             failures.append((i, ct))
     elapsed = time.monotonic() - start

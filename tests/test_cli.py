@@ -165,6 +165,18 @@ class TestSolve:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("what, budget", [("ct", "50"), ("blocker", "1000")])
+    def test_budget_bounds_the_whole_command(self, runner, what, budget):
+        # each γ solve of ct_gamma's search fits the budget on its own; the
+        # whole search does not
+        build = str(GOLDEN / "build_subcubic_fixture.json")
+        result = runner.invoke(
+            main, ["solve", "--format", "json", "-i", build, "--what", what, "--budget", budget]
+        )
+        assert result.exit_code == 3
+        if what == "blocker":
+            assert json.loads(result.stdout)["ct_gamma"] == "unknown"
+
     def test_nonpositive_budget_rejected(self, runner):
         result = runner.invoke(main, ["solve", "--budget", "0"], input="Dhc\n")
         assert result.exit_code == 2

@@ -171,7 +171,7 @@ class TestDominationNumber:
 
         g, _ = build_subcubic(unsatisfiable_fixture())
         with pytest.raises(BudgetExceeded):
-            domination_number(g, budget=1)
+            domination_number(g, GammaTable(budget=1))
 
     def test_contraction_never_increases_gamma_by_solver(self, small_connected_corpus):
         for g in small_connected_corpus:
@@ -343,16 +343,6 @@ class TestCtGamma:
     def test_gamma_one_impossible(self):
         assert ct_gamma(complete_graph(4)) == CT_IMPOSSIBLE
 
-    def test_max_k_cuts_search(self, c6):
-        assert ct_gamma(c6, max_k=1) == CT_IMPOSSIBLE
-        assert ct_gamma(c6, max_k=2) == CT_IMPOSSIBLE
-
-    def test_invalid_max_k(self, c6):
-        with pytest.raises(GraphError):
-            ct_gamma(c6, max_k=0)
-        with pytest.raises(GraphError):
-            ct_gamma(c6, max_k=4)
-
     def test_disconnected_rejected(self):
         g = LabeledGraph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(GraphError):
@@ -425,13 +415,35 @@ class TestGammaTable:
 
     def test_budget_exceeded_is_not_stored(self, gamma_calls):
         g, rmap = build_subcubic(unsatisfiable_fixture())
-        table = GammaTable()
+        table = GammaTable(budget=1)
         for _ in range(2):
             with pytest.raises(BudgetExceeded):
-                table.solve(g, budget=1)
+                table.solve(g)
+        table.budget = None  # a refused solve stored nothing, so this one solves
         assert table.solve(g) is table.solve(g)
         assert table.solve(g).gamma > rmap.expected_gamma()  # unsatisfiable: above the floor
         assert len(gamma_calls) == 3  # two refused, one stored
+
+    def test_forget_keeps_the_count(self, gamma_calls, c9):
+        table = GammaTable()
+        first = table.solve(c9)
+        nodes = table.nodes
+        assert nodes > 0
+        table.forget()
+        assert table.solve(c9) is not first
+        assert table.nodes == 2 * nodes
+        assert gamma_calls == [c9, c9]
+
+    def test_budget_bounds_every_search_together(self):
+        # every single γ solve below fits the budget; the searches together do not
+        g, _ = build_subcubic(satisfiable_fixture())
+        table = GammaTable(budget=1000)
+        assert blocker_report(g, table).ct == "unknown"
+        assert table.nodes == 1001
+        table = GammaTable(budget=50)
+        with pytest.raises(BudgetExceeded) as exc:
+            ct_gamma(g, table)
+        assert table.nodes == exc.value.nodes == 51
 
     def test_single_contractions_built_once(self, monkeypatch):
         # C6 has γ = 2 and no edge lowers it, so the definitional oracle and
@@ -475,14 +487,14 @@ class TestSearchTrees:
         want = json.loads(SEARCH_TREES.read_text(encoding="utf-8"))[name]
         g = self.GRAPHS[name]()
         assert g.n == want["n"]
-        optimizer = domination._Optimizer(g, None)
-        gamma, witness = optimizer.run()
-        enumerator = domination._Enumerator(g, gamma, None)
+        optimizer_table, enumerator_table = GammaTable(), GammaTable()
+        gamma, witness = domination._Optimizer(g, optimizer_table).run()
+        enumerator = domination._Enumerator(g, gamma, enumerator_table)
         found = []
         assert enumerator.visit_all(lambda s: found.append(sorted(s)) or True)
         assert (gamma, sorted(witness)) == (want["gamma"], want["witness"])
-        assert optimizer.nodes == want["optimizer_nodes"]
-        assert enumerator.nodes == want["enumerator_nodes"]
+        assert optimizer_table.nodes == want["optimizer_nodes"]
+        assert enumerator_table.nodes == want["enumerator_nodes"]
         assert found == want["mds"]
 
 

@@ -3,6 +3,7 @@ import pytest
 import domblocker.verify as verify_mod
 from domblocker import (
     Decision,
+    GammaTable,
     cycle_graph,
     path_graph,
     satisfiable_fixture,
@@ -59,22 +60,22 @@ class TestIndividualChecks:
 
 class TestFailurePlumbing:
     def test_broken_solver_produces_checkable_counterexample(self, monkeypatch):
-        import domblocker.verify as verify_mod
+        from domblocker import domination
 
-        real = verify_mod.domination_number
+        real = domination.domination_number
 
-        def wrong(g, budget=None, hint=None):
-            result = real(g, budget, hint=hint)
+        def wrong(g, table=None, hint=None):
+            result = real(g, table, hint=hint)
             return type(result)(result.gamma + 1, result.witness)
 
-        monkeypatch.setattr(verify_mod, "domination_number", wrong)
+        monkeypatch.setattr(domination, "domination_number", wrong)
         verdict = verify_mod.verify_subcubic_gamma(satisfiable_fixture())
         assert verdict.status == "fail"
         assert verdict.counterexample is not None
         assert verdict.counterexample["gamma"] != verdict.counterexample["target"]
 
     def test_budget_gives_skipped_not_fail(self):
-        verdict = verify_subcubic_gamma(unsatisfiable_fixture(), budget=1)
+        verdict = verify_subcubic_gamma(unsatisfiable_fixture(), GammaTable(budget=1))
         assert verdict.status == "skipped"
         assert "budget" in verdict.detail
 
@@ -119,13 +120,10 @@ class TestContractionSinglePass:
     def corpus(self):
         return list(verify_mod._corpus(self.MAX_N, self.RANDOM_COUNT, (7, 8, 9), self.SEED))
 
-    def suite_and_alone(self, budget=None):
-        suite = suite_contraction(self.MAX_N, self.RANDOM_COUNT, self.SEED, budget)
+    def suite_and_alone(self):
+        suite = suite_contraction(self.MAX_N, self.RANDOM_COUNT, self.SEED)
         corpus = self.corpus()
-        alone = [
-            verify_contraction_equivalences(corpus, budget),
-            verify_contraction_bound(corpus, budget),
-        ]
+        alone = [verify_contraction_equivalences(corpus), verify_contraction_bound(corpus)]
         return [v.to_json_dict() for v in suite], [v.to_json_dict() for v in alone]
 
     @pytest.mark.parametrize(
@@ -150,9 +148,33 @@ class TestContractionSinglePass:
         failed = next(v for v in suite if v["status"] == "fail")
         assert failed["instance"] == name and failed["counterexample"]
 
-    def test_budget_skips_one_claim_only(self):
-        suite, alone = self.suite_and_alone(budget=5)
-        assert suite == alone
-        assert [v["status"] for v in suite] == ["skipped", "pass"]
-        assert suite[0]["instance"] == "exhaustive#20(n=5)"
-        assert suite[1]["instance"] == "35 connected graphs"
+
+class TestOneBudgetPerRun:
+    """One table's budget bounds a whole run of claims: each claim keeps its
+    unbudgeted verdict or, when it needed a search node after the budget ran
+    out, is skipped at that one exhausted count."""
+
+    RUNS = {
+        "subcubic": lambda table: suite_subcubic(2, 5, table),
+        "contraction": lambda table: suite_contraction(5, 4, 3, table),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_spent_budget_skips_every_open_claim(self, name):
+        run = self.RUNS[name]
+        unbudgeted = GammaTable()
+        want = [v.to_json_dict() for v in run(unbudgeted)]
+        total = unbudgeted.nodes
+        for budget in (1, total // 3, 2 * total // 3, total - 1):
+            table = GammaTable(budget)
+            got = [v.to_json_dict() for v in run(table)]
+            assert table.nodes == budget + 1
+            assert len(got) == len(want)
+            assert any(v["status"] == "skipped" for v in got)
+            spent = f"budget exceeded: solver budget exceeded after {budget + 1} nodes"
+            for verdict, unbudgeted_verdict in zip(got, want):
+                if verdict != unbudgeted_verdict:
+                    assert (verdict["status"], verdict["detail"]) == ("skipped", spent)
+        table = GammaTable(total)
+        assert [v.to_json_dict() for v in run(table)] == want
+        assert table.nodes == total
