@@ -15,10 +15,12 @@ full solution set, so it visits every minimum dominating set exactly once.
 Both share one ``reduce``; the enumerator switches candidate dominance off.
 
 Vertex sets are int bitmasks, walked in ascending vertex order. The lower
-bound and the branching walk dense masks (the undominated and the available
-vertices, up to n bits), so they decode each one into a list in a single
-pass over its ``bin()`` string; the reductions walk only their marked
-vertices (below), lowest set bit first. The inner dominance loops ask
+bound walks dense masks (the undominated and the available vertices, up to n
+bits), so it decodes each one into a list in a single pass over its
+``bin()`` string. It sorts the undominated vertices by live count, so it
+returns the branch set too, and each component's bound, computed once where
+the optimizer splits, is handed to the node that branches on it. The
+reductions walk only their marked vertices (below), lowest set bit first. The inner dominance loops ask
 "which two-hop neighbours of y are still in the mask?": they walk a
 per-vertex list of two-hop neighbours, built once per search from the
 adjacency sets, and test one bit per entry instead of decoding
@@ -67,19 +69,21 @@ and pin whole search trees (``tests/golden/search_trees.json``).
 Everything is deterministic: ties break toward the lowest vertex id.
 
 A ``GammaTable`` is the context of one command: its node budget, the one
-count of search nodes that every search made through it adds to, and the γ
-results of the graphs met, keyed by adjacency. Every public operation takes
-the table as its optional ``table`` argument and makes an unbudgeted one when
-it is absent, so the budget bounds the whole command: ``BudgetExceeded`` is
-raised at node N + 1 of all its searches together, not of each. A caller that
-analyses one graph several ways (``blocker_report``, the ``verify`` suites)
-passes one table along and solves γ of each graph once: the input graph
-itself and, shared between the definitional oracle and the first level of
-``ct_gamma``, each single-edge contraction, which the table also builds only
-once. Only the γ values of identical graphs and the contracted graphs
-themselves are shared; every decider still runs its own enumeration or
-contraction search. ``forget`` drops what the table stores, keeping the count,
-once a caller moves on to another input graph.
+count of search nodes that every search made through it adds to, and what
+the command has solved. Every public operation takes the table as its
+optional ``table`` argument and makes an unbudgeted one when it is absent,
+so the budget bounds the whole command: ``BudgetExceeded`` is raised at node
+N + 1 of all its searches together, not of each. For the whole command the
+table keeps γ of every labeled graph met and the every-MDS decisions
+(``all_efficient_md``, ``all_independent_md``), keyed by the graph's closed
+neighbourhood masks, so no labeled graph is solved or enumerated twice: not
+the input graph, not a contraction at any depth of ``ct_gamma``, and not a
+graph that two corpus graphs share as a contraction. Scoped to the last graph
+contracted, it keeps that graph's single-edge contractions, built once for
+the definitional oracle and the first level of ``ct_gamma``. Only results of
+identical labeled graphs are shared; each kind of question still runs its
+own code path (the contraction oracle compares γ values, the deciders
+enumerate, ``ct_gamma`` searches contractions).
 """
 
 from __future__ import annotations
@@ -314,14 +318,17 @@ class _Search:
                 mark_candidate |= nb[v]
         return forced, und, avail
 
-    def lower_bound(self, und: int, avail: int) -> int:
+    def lower_bound(self, und: int, avail: int) -> tuple[int, int]:
+        """(bound, branch set): a lower bound on the dominators und still
+        needs from avail, and the live dominators of the most constrained
+        undominated vertex (fewest live dominators, lowest id on ties)."""
         nb = self.nb
         order = []
         und_list = _bit_list(und)
         for v in und_list:
             live = nb[v] & avail
             if not live:
-                return self.n + 1  # this vertex can never be dominated
+                return self.n + 1, 0  # this vertex can never be dominated
             order.append((live.bit_count(), v, live))
         order.sort()
         blocked = 0
@@ -347,19 +354,7 @@ class _Search:
         total = 0.0
         for v in und_list:
             total += 1.0 / maxcov[v]
-        return max(packed, math.ceil(total - 1e-9))
-
-    def branch_set(self, und: int, avail: int) -> int:
-        """Branch set: the live dominators of the most constrained vertex."""
-        best_count, branch_live = self.n + 2, 0
-        for v in _bit_list(und):
-            live = self.nb[v] & avail
-            c = live.bit_count()
-            if c < best_count:
-                best_count, branch_live = c, live
-                if c == 1:
-                    break
-        return branch_live
+        return max(packed, math.ceil(total - 1e-9)), order[0][2]
 
     def split_components(self, und: int) -> list[int]:
         """Partition und into masks no candidate can cover across.
@@ -404,19 +399,18 @@ class _Optimizer(_Search):
             return (k, forced)
         fixpoint = (und, avail)
         comps = self.split_components(und)
-        if len(comps) == 1:
-            sub = self.solve_component(und, avail, limit - k, fixpoint)
-            if sub is None:
-                return None
-            return (sub[0] + k, sub[1] | forced)
         bounds = [self.lower_bound(c, avail) for c in comps]
-        remaining = sum(bounds)
-        if remaining > limit - k:
+        remaining = sum(bound for bound, _ in bounds)
+        # a lone component's bound is checked inside its node, after that
+        # node is counted: the pinned node counts include such nodes
+        if len(comps) > 1 and remaining > limit - k:
             return None
         total, mask = 0, 0
-        for comp, bound in zip(comps, bounds):
+        for comp, (bound, branch_live) in zip(comps, bounds):
             remaining -= bound
-            sub = self.solve_component(comp, avail, limit - k - total - remaining, fixpoint)
+            sub = self.solve_component(
+                comp, avail, limit - k - total - remaining, fixpoint, bound, branch_live
+            )
             if sub is None:
                 return None
             total += sub[0]
@@ -424,19 +418,20 @@ class _Optimizer(_Search):
         return (total + k, mask | forced)
 
     def solve_component(
-        self, und: int, avail: int, limit: int, fixpoint: tuple[int, int]
+        self,
+        und: int,
+        avail: int,
+        limit: int,
+        fixpoint: tuple[int, int],
+        bound: int,
+        branch_live: int,
     ) -> Optional[tuple[int, int]]:
-        """Branch on the branch set of und, which is all of the reduced
-        ``fixpoint`` (und, avail) or one part of it; each child is that
-        fixpoint with bits cleared."""
+        """Branch on ``branch_live``, the branch set of und, which is all of
+        the reduced ``fixpoint`` (und, avail) or one part of it; ``bound`` is
+        its lower bound. Each child is that fixpoint with bits cleared."""
         self.tick()
-        if not und:
-            return (0, 0)
-        if limit <= 0:
+        if limit <= 0 or bound > limit:
             return None
-        if self.lower_bound(und, avail) > limit:
-            return None
-        branch_live = self.branch_set(und, avail)
         best: Optional[tuple[int, int]] = None
         sub_avail = avail
         for v in _bits(branch_live):
@@ -509,11 +504,12 @@ class _Enumerator(_Search):
             # smaller one with unused vertices would not dominate "exactly
             # once" semantics, and minimality forbids it anyway
             return True
-        if size + self.lower_bound(und, avail) > self.gamma:
+        bound, branch_live = self.lower_bound(und, avail)
+        if size + bound > self.gamma:
             return True
         fixpoint = (und, avail)
         sub_avail = avail
-        for v in _bits(self.branch_set(und, avail)):
+        for v in _bits(branch_live):
             sub_avail &= ~(1 << v)
             if not self._rec(chosen | (1 << v), und & ~self.nb[v], sub_avail, emit, fixpoint):
                 return False
@@ -542,58 +538,80 @@ def domination_number(
 
 
 class GammaTable:
-    """The context of one command: its node budget, its node count, and the γ
-    results and single-edge contractions of the graphs it met.
+    """The context of one command: its node budget, its node count, the γ
+    results and every-MDS decisions of the graphs it met, and the single-edge
+    contractions of the last graph contracted.
 
     Every search handed the table ticks its one counter ``nodes``; past
     ``budget`` (None: no limit) the search raises ``BudgetExceeded``, and so
     does every later search, so the budget bounds the whole command. The
     count stops at budget + 1, the node that was refused.
 
-    Results are keyed by adjacency (``g.adj``); labels play no part. A miss
-    calls this module's ``domination_number`` (looked up at call time) and
-    stores what it returns; a ``BudgetExceeded`` passes through and nothing
-    is stored. A hit costs no search nodes. ``hint`` only seeds a miss: a hit
-    returns the stored result whatever hint solved it, with the same γ and
-    possibly another witness. ``contract`` builds each single-edge
-    contraction once, so the definitional oracle and the first level of
-    ``ct_gamma`` share the graphs as well as their γ. The table keeps every
-    graph it was asked about alive until ``forget``, which a caller calls
-    when it moves on to another input graph.
+    γ results and decisions are kept for the whole command, keyed by the
+    labeled adjacency: the tuple ``g.closed_masks``, which every search of g
+    builds anyway, so the table keeps a tuple of ints per graph, never the
+    graph itself; labels play no part. A miss of ``solve`` calls this module's
+    ``domination_number`` (looked up at call time) and stores what it
+    returns; a miss of ``decide`` runs the enumeration. A ``BudgetExceeded``
+    passes through and nothing is stored. A hit costs no search nodes.
+    ``hint`` only seeds a miss: a hit returns the stored result whatever
+    hint solved it, with the same γ and possibly another witness.
+    ``contract`` builds each single-edge contraction of one parent graph
+    once, so the definitional oracle and the first level of ``ct_gamma``
+    share the graphs as well as their γ; contracting another parent drops
+    the contractions of the one before.
     """
 
     def __init__(self, budget: Optional[int] = None):
         self.budget = budget
         self.nodes = 0
-        self._results: dict[tuple[frozenset[int], ...], GammaResult] = {}
-        self._contractions: dict[tuple, LabeledGraph] = {}
+        self._results: dict[tuple[int, ...], GammaResult] = {}
+        self._decisions: dict[tuple[Callable, tuple[int, ...]], Decision] = {}
+        # one object per distinct result: small graphs repeat a few witnesses
+        self._shared: dict = {}
+        self._parent: Optional[tuple[int, ...]] = None
+        self._contractions: dict[tuple[int, int], LabeledGraph] = {}
 
-    def tick(self):
-        """Count one search node; raise ``BudgetExceeded`` past the budget."""
-        self.nodes += 1
+    def tick(self, nodes: int = 1):
+        """Count search nodes; raise ``BudgetExceeded`` past the budget."""
+        self.nodes += nodes
         if self.budget is not None and self.nodes > self.budget:
             self.nodes = self.budget + 1
             raise BudgetExceeded(self.nodes)
 
     def solve(self, g: LabeledGraph, hint: Optional[frozenset[int]] = None) -> GammaResult:
         """γ of g with a witness, solved at most once per adjacency."""
-        result = self._results.get(g.adj)
+        key = g.closed_masks
+        result = self._results.get(key)
         if result is None:
-            result = self._results[g.adj] = domination_number(g, self, hint)
+            result = domination_number(g, self, hint)
+            result = self._results[key] = self._shared.setdefault(result, result)
         return result
 
-    def contract(self, g: LabeledGraph, u: int, v: int) -> LabeledGraph:
-        """g with edge (u, v) contracted, built at most once per adjacency and edge."""
-        key = (g.adj, u, v)
-        contracted = self._contractions.get(key)
-        if contracted is None:
-            contracted = self._contractions[key] = g.contract_edge(u, v)
-        return contracted
+    def decide(
+        self, g: LabeledGraph, holds: Callable[[LabeledGraph, frozenset[int]], bool]
+    ) -> Decision:
+        """Does every minimum dominating set of the connected g satisfy
+        ``holds``? Witness: one that does not. Decided at most once per
+        adjacency and predicate."""
+        key = (holds, g.closed_masks)
+        decision = self._decisions.get(key)
+        if decision is None:
+            decision = _every_minimum_set(g, self, holds)
+            decision = self._decisions[key] = self._shared.setdefault(decision, decision)
+        return decision
 
-    def forget(self):
-        """Drop the stored results and contractions; the node count stays."""
-        self._results.clear()
-        self._contractions.clear()
+    def contract(self, g: LabeledGraph, u: int, v: int) -> LabeledGraph:
+        """g with edge (u, v) contracted, built at most once per edge while g
+        is the last graph contracted."""
+        key = g.closed_masks
+        if key != self._parent:
+            self._parent = key
+            self._contractions = {}
+        contracted = self._contractions.get((u, v))
+        if contracted is None:
+            contracted = self._contractions[u, v] = g.contract_edge(u, v)
+        return contracted
 
 
 def visit_minimum_dominating_sets(
@@ -606,7 +624,8 @@ def visit_minimum_dominating_sets(
     to stop early. Order is the deterministic search-tree order (not sorted);
     each set is visited exactly once. Returns gamma."""
     if gamma is None:
-        gamma = domination_number(g, table).gamma
+        table = GammaTable() if table is None else table
+        gamma = table.solve(g).gamma
     _Enumerator(g, gamma, table).visit_all(visitor)
     return gamma
 
@@ -626,14 +645,12 @@ def enumerate_minimum_dominating_sets(
 
 
 def _every_minimum_set(
-    g: LabeledGraph,
-    table: Optional[GammaTable],
-    holds: Callable[[LabeledGraph, frozenset[int]], bool],
+    g: LabeledGraph, table: GammaTable, holds: Callable[[LabeledGraph, frozenset[int]], bool]
 ) -> Decision:
-    """Does every minimum dominating set satisfy ``holds``? Witness: one that does not."""
+    """``GammaTable.decide`` on a miss: enumerate until a minimum dominating
+    set fails ``holds``."""
     if not g.is_connected():
         raise GraphError("decider requires a connected graph")
-    table = GammaTable() if table is None else table
     bad: list[frozenset[int]] = []
 
     def check(s: frozenset[int]) -> bool:
@@ -648,12 +665,12 @@ def _every_minimum_set(
 
 def all_efficient_md(g: LabeledGraph, table: Optional[GammaTable] = None) -> Decision:
     """Is every minimum dominating set efficient? Witness: a non-efficient MDS."""
-    return _every_minimum_set(g, table, is_efficient)
+    return (GammaTable() if table is None else table).decide(g, is_efficient)
 
 
 def all_independent_md(g: LabeledGraph, table: Optional[GammaTable] = None) -> Decision:
     """Is every minimum dominating set independent? Witness: a non-independent MDS."""
-    return _every_minimum_set(g, table, is_independent)
+    return (GammaTable() if table is None else table).decide(g, is_independent)
 
 
 def one_contraction_decision(g: LabeledGraph, table: Optional[GammaTable] = None) -> Decision:
@@ -705,19 +722,19 @@ def ct_gamma(g: LabeledGraph, table: Optional[GammaTable] = None) -> int | str:
         return CT_IMPOSSIBLE
     level = {g.adj: g}
     for k in (1, 2, 3):
-        # single contractions and their γ go through the table, which the
+        # single contractions are built through the table, which the
         # definitional oracle shares; deeper ones are this search's alone and
-        # are built and solved directly, since storing them would keep up to
-        # m^k graphs alive. A graph met again on a level kept below depth 3
-        # was solved already.
+        # are built directly, since keeping them would keep up to m^k graphs
+        # alive. Every γ goes through the table, which keeps only a tuple of
+        # ints per graph. A graph met again on a level kept below depth 3 was
+        # solved.
         next_level: dict = {}
         for h in level.values():
             for u, v in h.edges():
                 contracted = table.contract(h, u, v) if k == 1 else h.contract_edge(u, v)
                 if contracted.adj in next_level:
                     continue
-                found = table.solve(contracted) if k == 1 else domination_number(contracted, table)
-                if found.gamma < gamma:
+                if table.solve(contracted).gamma < gamma:
                     return k
                 if k < 3:
                     next_level[contracted.adj] = contracted

@@ -10,21 +10,19 @@ node budget ran out; failures are never silently truncated.
 
 Every claim and suite takes the run's ``GammaTable`` as its ``table`` (and
 makes an unbudgeted one when it is absent), so the table's node budget bounds
-the whole run: once it is spent, every later search raises
-``BudgetExceeded``, and every claim that still needs a search node is
-``skipped``. A claim that finished before keeps its verdict. The table also
-shares γ within one input graph, and the suites ``forget`` its results when
-they move on to the next graph: the ``contraction`` suite walks its corpus
-once and evaluates both of its claims on each graph, and the ``subcubic``
-suite shares the table between the two claims of each formula. So γ of a
-graph, and of each of its single-edge contractions, is solved once per graph
-instead of once per asking side, and each contraction is built once. Only γ
-values and contracted graphs are shared: the definitional contract-and-compare
-oracle, the characterization, the all-independent decider and the contraction
-search each still run their own code path, and brute-force satisfiability
-stays independent of every γ. Without a budget each claim keeps the verdict
-it has when it runs alone: its first failure, with the same counts and
-details.
+the whole run, the induced-P7 certificate's extension nodes included: once
+it is spent, every later search raises ``BudgetExceeded``, and every claim
+that still needs a search node is ``skipped``. A claim that finished before
+keeps its verdict. The table keeps γ and the every-MDS decisions for the
+whole run, so no labeled graph is solved or enumerated twice: the
+``contraction`` suite walks its corpus once and evaluates both of its claims
+on each graph, contractions that several corpus graphs share are solved
+once, and the ``subcubic`` suite's two claims of a formula share γ. The
+characterization and the negated all-independent decider read one
+enumeration; the definitional contract-and-compare oracle stays independent
+of it, and brute-force satisfiability stays independent of every γ. Without
+a budget each claim keeps the verdict it has when it runs alone: its first
+failure, with the same counts and details.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from .domination import (
     all_efficient_md,
     all_independent_md,
     ct_gamma,
-    domination_number,
     enumerate_minimum_dominating_sets,
     is_dominating,
     is_efficient,
@@ -256,10 +253,11 @@ def verify_clawfree_offset(
     structure = verify_clawfree_structure(target, instance)
     if not structure.passed:
         return structure
+    table = _table(table)
     try:
-        source_result = domination_number(g, table)
+        source_result = table.solve(g)
         lifted = reductions.lift_dominating_set(rmap, source_result.witness)
-        target_result = domination_number(target, table, hint=lifted)
+        target_result = table.solve(target, lifted)
     except BudgetExceeded as exc:
         return _skipped(claim, instance, exc)
     expected = source_result.gamma + rmap.offset()
@@ -310,10 +308,14 @@ def verify_triangle_construction(
     try:
         gamma = table.solve(g, hint).gamma
         independent = all_independent_md(g, table)
+        # the certificate's extension nodes count against the table's budget;
+        # with none left it may take one, which the tick then refuses
+        left = None if table.budget is None else max(table.budget - table.nodes, 1)
+        p7 = is_pk_free(g, 7, budget=left)
+        table.tick(p7.nodes)
     except BudgetExceeded as exc:
         return _skipped(claim, instance, exc)
     sat = assignment is not None
-    p7 = is_pk_free(g, 7, budget=1_000_000)
     problems = []
     if gamma < f.num_vars:
         problems.append(f"gamma={gamma} below the floor |X|={f.num_vars}")
@@ -396,7 +398,7 @@ _BOUND = ("three-contractions-suffice", _bound, "within bound")
 def _corpus_verdicts(graphs, table, claims) -> list[ClaimVerdict]:
     """Evaluate corpus claims in one pass over graphs. Each claim stops at
     its first failing or skipped graph; the claims still open share the
-    table's results for one graph, forgotten before the next."""
+    table's results."""
     table = _table(table)
     verdicts: list[Optional[ClaimVerdict]] = [None] * len(claims)
     checked = [0] * len(claims)
@@ -404,7 +406,6 @@ def _corpus_verdicts(graphs, table, claims) -> list[ClaimVerdict]:
         open_claims = [i for i, verdict in enumerate(verdicts) if verdict is None]
         if not open_claims:
             break
-        table.forget()
         for i in open_claims:
             claim, check, _ = claims[i]
             verdicts[i] = check(claim, name, g, table)
@@ -467,7 +468,6 @@ def suite_subcubic(
     for _ in range(random_instances):
         fixtures.append(gen_1in3(rng.choice((3, 4)), rng.randrange(1 << 30)))
     for f in fixtures:
-        table.forget()
         verdicts.append(verify_subcubic_gamma(f, table))
         verdicts.append(verify_subcubic_efficiency(f, table))
     return verdicts
@@ -522,7 +522,6 @@ def suite_p7(table: Optional[GammaTable] = None, max_clauses: int = 4) -> list[C
     table = _table(table)
     verdicts = []
     for f in all_three_var_formulas(max_clauses) + [eight_pattern_formula()]:
-        table.forget()
         verdicts.append(verify_triangle_construction(f, table))
     return verdicts
 

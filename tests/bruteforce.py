@@ -2,12 +2,14 @@
 
 Deliberately written against the plain set-based definitions (no bitmasks, no
 pruning) so they share no code path with the package implementations they
-check.
+check; the one exception, the reference listing, shares the canonical
+certificate and checks only which extensions the listing skips.
 """
 
 import itertools
 
 from domblocker import LabeledGraph
+from domblocker.smallgraphs import _certificate
 
 
 def closed_neighborhood(g: LabeledGraph, v):
@@ -154,3 +156,27 @@ def reference_reduce(g: LabeledGraph, und, avail, solution_preserving=False):
                 und.discard(v)
                 changed = True
     return forced, und, avail
+
+
+def plain_extension_masks(n: int, connected_only: bool) -> tuple[int, ...]:
+    """Canonical edge-slot masks of every graph on n vertices (connected only
+    if asked), by joining a new vertex to every neighbour set of every class
+    on n - 1 vertices, with no twin skipping. The certificate is the
+    package's; only the choice of extensions is independent."""
+    if n == 1:
+        return (0,)
+    pairs = list(itertools.combinations(range(n - 1), 2))
+    certificates = set()
+    for parent in plain_extension_masks(n - 1, connected_only):
+        for neighbours in range(1 if connected_only else 0, 1 << (n - 1)):
+            adj = [0] * n
+            for k, (i, j) in enumerate(pairs):
+                if parent >> k & 1:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            for v in range(n - 1):
+                if neighbours >> v & 1:
+                    adj[v] |= 1 << (n - 1)
+                    adj[n - 1] |= 1 << v
+            certificates.add(_certificate(n, adj))
+    return tuple(sorted(certificates))

@@ -5,7 +5,21 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from domblocker import cycle_graph, path_graph
+from domblocker import cycle_graph, domination, path_graph
+
+
+@pytest.fixture
+def gamma_calls(monkeypatch):
+    """The graphs handed to domination.domination_number, in call order."""
+    calls = []
+    solve = domination.domination_number
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(domination, "domination_number", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

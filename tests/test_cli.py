@@ -237,8 +237,8 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "unknown-suite"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("max_n", ["0", "8"])
+    @pytest.mark.parametrize("max_n", ["0", "9"])
     def test_max_n_out_of_range_usage_error(self, runner, max_n):
         result = runner.invoke(main, ["verify", "contraction", "--max-n", max_n])
         assert result.exit_code == 2
-        assert "1<=x<=7" in result.output
+        assert "1<=x<=8" in result.output

@@ -45,20 +45,6 @@ from bruteforce import (
 SEARCH_TREES = Path(__file__).parent / "golden" / "search_trees.json"
 
 
-@pytest.fixture
-def gamma_calls(monkeypatch):
-    """The graphs handed to domination.domination_number, in call order."""
-    calls = []
-    solve = domination.domination_number
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(domination, "domination_number", counted)
-    return calls
-
-
 def connected_random(rng, n):
     return random_connected_graph(n, rng)
 
@@ -424,15 +410,28 @@ class TestGammaTable:
         assert table.solve(g).gamma > rmap.expected_gamma()  # unsatisfiable: above the floor
         assert len(gamma_calls) == 3  # two refused, one stored
 
-    def test_forget_keeps_the_count(self, gamma_calls, c9):
+    def test_results_persist_and_contractions_follow_the_last_parent(
+        self, gamma_calls, c6, c9
+    ):
         table = GammaTable()
         first = table.solve(c9)
+        decision = all_independent_md(c9, table)
+        contracted = table.contract(c9, 0, 1)
+        assert table.contract(c9, 0, 1) is contracted
         nodes = table.nodes
         assert nodes > 0
-        table.forget()
-        assert table.solve(c9) is not first
-        assert table.nodes == 2 * nodes
-        assert gamma_calls == [c9, c9]
+        table.solve(c6)
+        table.contract(c6, 0, 1)
+        nodes_after_c6 = table.nodes
+        assert nodes_after_c6 > nodes
+        # γ and decisions of c9 outlive the move to c6, and cost no nodes
+        assert table.solve(c9) is first
+        assert all_independent_md(c9, table) is decision
+        assert table.nodes == nodes_after_c6
+        assert gamma_calls == [c9, c6]
+        # only the contractions of the last parent are kept
+        rebuilt = table.contract(c9, 0, 1)
+        assert rebuilt is not contracted and rebuilt == contracted
 
     def test_budget_bounds_every_search_together(self):
         # every single γ solve below fits the budget; the searches together do not

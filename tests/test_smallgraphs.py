@@ -4,8 +4,10 @@ import random
 import networkx as nx
 import pytest
 
+from bruteforce import plain_extension_masks
 from domblocker import GraphError
 from domblocker.smallgraphs import (
+    _canonical_masks,
     all_graphs,
     connected_graphs,
     connected_graphs_upto,
@@ -75,9 +77,19 @@ class TestEnumeration:
     def test_upto_totals(self):
         assert len(connected_graphs_upto(6)) == 143
 
+    def test_counts_at_eight(self):
+        # OEIS A001349 and A000088 at n = 8
+        assert len(connected_graphs(8)) == 11117
+        assert len(all_graphs(8)) == 12346
+
+    @pytest.mark.parametrize("connected_only", [True, False])
+    def test_twin_skipping_lists_the_plain_extension(self, connected_only):
+        for n in range(1, 8):
+            assert _canonical_masks(n, connected_only) == plain_extension_masks(n, connected_only)
+
     def test_out_of_range(self):
         with pytest.raises(GraphError):
-            connected_graphs(8)
+            connected_graphs(9)
 
 
 class TestRandomGenerators:

@@ -4,11 +4,13 @@ import domblocker.verify as verify_mod
 from domblocker import (
     Decision,
     GammaTable,
+    all_independent_md,
     cycle_graph,
     path_graph,
     satisfiable_fixture,
     unsatisfiable_fixture,
 )
+from domblocker.reductions import build_p7free
 from domblocker.verify import (
     ClaimVerdict,
     all_three_var_formulas,
@@ -16,6 +18,7 @@ from domblocker.verify import (
     run_suite,
     suite_clawfree,
     suite_contraction,
+    suite_p7,
     suite_subcubic,
     verify_clawfree_offset,
     verify_contraction_bound,
@@ -78,6 +81,19 @@ class TestFailurePlumbing:
         verdict = verify_subcubic_gamma(unsatisfiable_fixture(), GammaTable(budget=1))
         assert verdict.status == "skipped"
         assert "budget" in verdict.detail
+
+    def test_p7_certificate_counts_against_the_budget(self):
+        f = eight_pattern_formula()
+        g, _ = build_p7free(f)
+        searches = GammaTable()
+        searches.solve(g)
+        all_independent_md(g, searches)
+        whole = GammaTable()
+        assert verify_triangle_construction(f, whole).passed
+        assert whole.nodes > searches.nodes  # the certificate's nodes are counted
+        verdict = verify_triangle_construction(f, GammaTable(searches.nodes))
+        assert verdict.status == "skipped"
+        assert verdict.detail.endswith(f"after {searches.nodes + 1} nodes")
 
     def test_verdict_json_shape(self):
         verdict = ClaimVerdict("some-check", "inst", "fail", "boom", {"bad": 1})
@@ -157,6 +173,7 @@ class TestOneBudgetPerRun:
     RUNS = {
         "subcubic": lambda table: suite_subcubic(2, 5, table),
         "contraction": lambda table: suite_contraction(5, 4, 3, table),
+        "p7": lambda table: suite_p7(table, 2),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -178,3 +195,15 @@ class TestOneBudgetPerRun:
         table = GammaTable(total)
         assert [v.to_json_dict() for v in run(table)] == want
         assert table.nodes == total
+
+
+class TestNothingSolvedTwice:
+    """The run's table keeps γ and the every-MDS decisions for the whole run,
+    so no labeled graph is solved twice however many graphs or claims meet
+    it."""
+
+    @pytest.mark.parametrize("name", sorted(TestOneBudgetPerRun.RUNS))
+    def test_each_labeled_graph_solved_once(self, gamma_calls, name):
+        TestOneBudgetPerRun.RUNS[name](GammaTable())
+        solved = [(g.n, g.adj) for g in gamma_calls]
+        assert solved and len(set(solved)) == len(solved)
