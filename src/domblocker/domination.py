@@ -78,12 +78,17 @@ table keeps γ of every labeled graph met and the every-MDS decisions
 (``all_efficient_md``, ``all_independent_md``), keyed by the graph's closed
 neighbourhood masks, so no labeled graph is solved or enumerated twice: not
 the input graph, not a contraction at any depth of ``ct_gamma``, and not a
-graph that two corpus graphs share as a contraction. Scoped to the last graph
-contracted, it keeps that graph's single-edge contractions, built once for
-the definitional oracle and the first level of ``ct_gamma``. Only results of
+graph that two corpus graphs share as a contraction. Only results of
 identical labeled graphs are shared; each kind of question still runs its
 own code path (the contraction oracle compares γ values, the deciders
 enumerate, ``ct_gamma`` searches contractions).
+
+Both contraction searches work on closed masks alone: ``contract_masks``
+puts the merged vertex in the lower endpoint's slot, so every order of
+contracting one edge set gives one tuple, and ``GammaTable.solve_masks``
+builds a graph from a tuple only when the table lacks it. ``ct_gamma``
+therefore solves each contracted edge set once, and the graphs that at most
+three contractions make are exactly those the sequence search reaches.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .graphs import BudgetExceeded, GraphError, LabeledGraph
+from .graphs import BudgetExceeded, GraphError, LabeledGraph, contract_masks
 
 
 @dataclass(frozen=True)
@@ -538,9 +543,8 @@ def domination_number(
 
 
 class GammaTable:
-    """The context of one command: its node budget, its node count, the γ
-    results and every-MDS decisions of the graphs it met, and the single-edge
-    contractions of the last graph contracted.
+    """The context of one command: its node budget, its node count, and the
+    γ results and every-MDS decisions of the graphs it met.
 
     Every search handed the table ticks its one counter ``nodes``; past
     ``budget`` (None: no limit) the search raises ``BudgetExceeded``, and so
@@ -556,10 +560,9 @@ class GammaTable:
     passes through and nothing is stored. A hit costs no search nodes.
     ``hint`` only seeds a miss: a hit returns the stored result whatever
     hint solved it, with the same γ and possibly another witness.
-    ``contract`` builds each single-edge contraction of one parent graph
-    once, so the definitional oracle and the first level of ``ct_gamma``
-    share the graphs as well as their γ; contracting another parent drops
-    the contractions of the one before.
+    ``solve_masks`` asks by the key itself, so the contraction searches
+    keep no graphs: a hit builds none, and a miss builds one with ``PLAIN``
+    labels only to solve it.
     """
 
     def __init__(self, budget: Optional[int] = None):
@@ -569,8 +572,6 @@ class GammaTable:
         self._decisions: dict[tuple[Callable, tuple[int, ...]], Decision] = {}
         # one object per distinct result: small graphs repeat a few witnesses
         self._shared: dict = {}
-        self._parent: Optional[tuple[int, ...]] = None
-        self._contractions: dict[tuple[int, int], LabeledGraph] = {}
 
     def tick(self, nodes: int = 1):
         """Count search nodes; raise ``BudgetExceeded`` past the budget."""
@@ -588,6 +589,14 @@ class GammaTable:
             result = self._results[key] = self._shared.setdefault(result, result)
         return result
 
+    def solve_masks(self, masks: tuple[int, ...]) -> GammaResult:
+        """γ of the graph with closed neighbourhoods ``masks``; a graph is
+        built from them only on a miss."""
+        result = self._results.get(masks)
+        if result is None:
+            result = self.solve(LabeledGraph.from_closed_masks(masks))
+        return result
+
     def decide(
         self, g: LabeledGraph, holds: Callable[[LabeledGraph, frozenset[int]], bool]
     ) -> Decision:
@@ -600,18 +609,6 @@ class GammaTable:
             decision = _every_minimum_set(g, self, holds)
             decision = self._decisions[key] = self._shared.setdefault(decision, decision)
         return decision
-
-    def contract(self, g: LabeledGraph, u: int, v: int) -> LabeledGraph:
-        """g with edge (u, v) contracted, built at most once per edge while g
-        is the last graph contracted."""
-        key = g.closed_masks
-        if key != self._parent:
-            self._parent = key
-            self._contractions = {}
-        contracted = self._contractions.get((u, v))
-        if contracted is None:
-            contracted = self._contractions[u, v] = g.contract_edge(u, v)
-        return contracted
 
 
 def visit_minimum_dominating_sets(
@@ -701,10 +698,22 @@ def one_contraction_definitional(
         raise GraphError("contraction decision requires a connected graph")
     table = GammaTable() if table is None else table
     gamma = table.solve(g).gamma
+    masks = g.closed_masks
     for u, v in g.edges():
-        if table.solve(table.contract(g, u, v)).gamma < gamma:
+        if table.solve_masks(contract_masks(masks, u, v)).gamma < gamma:
             return Decision(True, (u, v))
     return Decision(False)
+
+
+def _edges(masks: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """Edges (u, v), u < v, of the graph with closed neighbourhoods
+    ``masks``, in lexicographic order."""
+    for u, m in enumerate(masks):
+        higher = m >> (u + 1)
+        while higher:
+            low = higher & -higher
+            yield u, u + low.bit_length()
+            higher ^= low
 
 
 def ct_gamma(g: LabeledGraph, table: Optional[GammaTable] = None) -> int | str:
@@ -720,24 +729,22 @@ def ct_gamma(g: LabeledGraph, table: Optional[GammaTable] = None) -> int | str:
     gamma = table.solve(g).gamma
     if gamma == 1:
         return CT_IMPOSSIBLE
-    level = {g.adj: g}
+    level = {g.closed_masks: None}
     for k in (1, 2, 3):
-        # single contractions are built through the table, which the
-        # definitional oracle shares; deeper ones are this search's alone and
-        # are built directly, since keeping them would keep up to m^k graphs
-        # alive. Every γ goes through the table, which keeps only a tuple of
-        # ints per graph. A graph met again on a level kept below depth 3 was
-        # solved.
-        next_level: dict = {}
-        for h in level.values():
-            for u, v in h.edges():
-                contracted = table.contract(h, u, v) if k == 1 else h.contract_edge(u, v)
-                if contracted.adj in next_level:
+        # next_level holds each graph k contractions make once, as its closed
+        # masks: every order of contracting one edge set gives one tuple
+        # (``contract_masks``). γ is asked by the tuple, so a graph is built
+        # only for a tuple the table lacks
+        next_level: dict[tuple[int, ...], None] = {}
+        for masks in level:
+            for u, v in _edges(masks):
+                contracted = contract_masks(masks, u, v)
+                if contracted in next_level:
                     continue
-                if table.solve(contracted).gamma < gamma:
+                if table.solve_masks(contracted).gamma < gamma:
                     return k
                 if k < 3:
-                    next_level[contracted.adj] = contracted
+                    next_level[contracted] = None
         level = next_level
     return CT_IMPOSSIBLE
 

@@ -117,6 +117,28 @@ class LabeledGraph:
             raise GraphError(f"expected {n} labels, got {len(labels)}")
         return LabeledGraph(n, tuple(frozenset(s) for s in adj), labels)
 
+    @staticmethod
+    def from_closed_masks(
+        masks: tuple[int, ...], labels: Optional[tuple[VertexLabel, ...]] = None
+    ) -> "LabeledGraph":
+        """The graph whose closed neighbourhoods are ``masks`` (labels
+        ``PLAIN`` unless given), with ``closed_masks`` already set to that
+        tuple. The masks are trusted: each holds its own bit, and they are
+        symmetric."""
+        n = len(masks)
+        adj = []
+        for v, m in enumerate(masks):
+            m ^= 1 << v
+            nbrs = []
+            while m:
+                low = m & -m
+                nbrs.append(low.bit_length() - 1)
+                m ^= low
+            adj.append(frozenset(nbrs))
+        g = LabeledGraph(n, tuple(adj), (PLAIN,) * n if labels is None else labels)
+        g.__dict__["closed_masks"] = masks  # the cached_property's slot
+        return g
+
     # -- basic queries ----------------------------------------------------
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
@@ -162,28 +184,18 @@ class LabeledGraph:
         return LabeledGraph(self.n, tuple(adj), self.labels)
 
     def contract_edge(self, u: int, v: int) -> "LabeledGraph":
-        """Contract edge {u,v}: merge the endpoints into one new vertex.
+        """Contract edge {u,v}: merge the endpoints into one vertex.
 
         The merged vertex is adjacent to N(u) | N(v) minus the endpoints, gets
-        the label ``PLAIN``, and takes the identifier of the merged graph's
-        last vertex slot after the remaining vertices are renumbered densely
-        (original order preserved).
+        the label ``PLAIN`` and takes the slot of the lower endpoint; the
+        higher endpoint's slot goes and the vertices above it move down one,
+        keeping their labels in order (see ``contract_masks``).
         """
         if v not in self.adj[u]:
             raise GraphError(f"cannot contract non-edge ({u},{v})")
-        keep = [w for w in range(self.n) if w not in (u, v)]
-        remap = {w: i for i, w in enumerate(keep)}
-        merged = len(keep)  # new id of the contracted vertex
-        new_adj: list[set[int]] = [set() for _ in range(merged + 1)]
-        for w in keep:
-            for x in self.adj[w]:
-                if x in (u, v):
-                    new_adj[remap[w]].add(merged)
-                    new_adj[merged].add(remap[w])
-                else:
-                    new_adj[remap[w]].add(remap[x])
-        labels = tuple(self.labels[w] for w in keep) + (PLAIN,)
-        return LabeledGraph(merged + 1, tuple(frozenset(s) for s in new_adj), labels)
+        u, v = min(u, v), max(u, v)
+        labels = self.labels[:u] + (PLAIN,) + self.labels[u + 1 : v] + self.labels[v + 1 :]
+        return LabeledGraph.from_closed_masks(contract_masks(self.closed_masks, u, v), labels)
 
     def relabel(self, perm: list[int]) -> "LabeledGraph":
         """Apply a vertex permutation: new vertex perm[v] is old vertex v."""
@@ -220,6 +232,27 @@ class LabeledGraph:
 
     def is_subcubic(self) -> bool:
         return self.max_degree() <= 3
+
+
+def contract_masks(masks: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
+    """The closed masks of a graph with edge {u, v}, u < v, contracted.
+
+    The merged vertex takes u's slot, v's slot goes, and every vertex above v
+    moves down one. By induction each vertex of a contraction stands for the
+    original vertices merged into it, and the vertices stay in the order of
+    the lowest original vertex each holds. So contracting an edge set gives
+    the same tuple in every order, and the tuple can key a table.
+    """
+    low = (1 << v) - 1
+    high = ~low
+    bit_u = 1 << u
+    shift = v - u
+    # bits below v stay, bit v moves to u, bits above v move down one
+    out = [(m & low) | (m >> shift & bit_u) | (m >> 1 & high) for m in masks]
+    merged = masks[u] | masks[v]
+    out[u] = (merged & low) | (merged >> 1 & high)
+    del out[v]
+    return tuple(out)
 
 
 # -- small named graphs ----------------------------------------------------

@@ -19,8 +19,11 @@ whole run, so no labeled graph is solved or enumerated twice: the
 on each graph, contractions that several corpus graphs share are solved
 once, and the ``subcubic`` suite's two claims of a formula share γ. The
 characterization and the negated all-independent decider read one
-enumeration; the definitional contract-and-compare oracle stays independent
-of it, and brute-force satisfiability stays independent of every γ. Without
+enumeration, so the decider's witness is checked by set predicates as well;
+the definitional contract-and-compare oracle stays independent of it, and
+brute-force satisfiability stays independent of every γ. Both contraction
+checks contract closed masks (``contract_masks``) and ask the table by the
+tuple, so a contraction that the table has solved is never rebuilt. Without
 a budget each claim keeps the verdict it has when it runs alone: its first
 failure, with the same counts and details.
 """
@@ -58,6 +61,7 @@ from .domination import (
 from .graphs import (
     LabeledGraph,
     complete_graph,
+    contract_masks,
     cycle_graph,
     find_claw,
     is_pk_free,
@@ -346,19 +350,34 @@ def _equivalences(claim, name, g, table) -> Optional[ClaimVerdict]:
     """The definitional contract-and-compare oracle, the
     non-independent-MDS characterization and the negated all-independent
     decider agree on g, and the characterization's witness edge lowers
-    gamma. None when g passes."""
+    gamma. The last two read one enumeration, so the decider's witness is
+    also checked by set predicates: it dominates, has gamma members and
+    holds the witness edge. None when g passes."""
     try:
         definitional = one_contraction_definitional(g, table)
         characterized = one_contraction_decision(g, table)
         independent = all_independent_md(g, table)
+        gamma = table.solve(g).gamma
+        witness_ok = True
+        if characterized.holds:
+            u, v = characterized.witness
+            witness_ok = (
+                g.has_edge(u, v)
+                and table.solve_masks(contract_masks(g.closed_masks, u, v)).gamma < gamma
+            )
     except BudgetExceeded as exc:
         return _skipped(claim, name, exc)
     agree = definitional.holds == characterized.holds == (not independent.holds)
-    witness_ok = True
-    if characterized.holds:
-        u, v = characterized.witness
-        contracted = table.contract(g, u, v)
-        witness_ok = table.solve(contracted).gamma < table.solve(g).gamma
+    if not independent.holds:
+        members = independent.witness
+        witness_ok = (
+            witness_ok
+            and members is not None
+            and is_dominating(g, members)
+            and len(members) == gamma
+        )
+        if characterized.holds:
+            witness_ok = witness_ok and set(characterized.witness) <= members
     if agree and witness_ok:
         return None
     return _verdict(

@@ -40,6 +40,36 @@ def brute_all_mds(g: LabeledGraph) -> set[frozenset]:
     }
 
 
+def brute_ct(g: LabeledGraph):
+    """ct_γ by the sequence BFS: contract every edge of every graph on a
+    level with ``contract_edge``, one graph per adjacency, and compare
+    brute-force γ. The depth at which γ first drops, or None when three
+    contractions never lower it (always when γ = 1)."""
+    gamma = brute_gamma(g)
+    level = {g.adj: g}
+    for k in (1, 2, 3):
+        next_level = {}
+        for h in level.values():
+            for u, v in h.edges():
+                contracted = h.contract_edge(u, v)
+                if contracted.adj in next_level:
+                    continue
+                if brute_gamma(contracted) < gamma:
+                    return k
+                next_level[contracted.adj] = contracted
+        level = next_level
+    return None
+
+
+def contract_tracked(g: LabeledGraph, where, a, b):
+    """Contract the edge of g between original vertices a and b; ``where``
+    maps each original vertex to its vertex of g. Returns the contraction
+    and the updated map, in which the merged vertex keeps the lower slot."""
+    u, v = sorted((where[a], where[b]))
+    where = [u if w == v else w - (w > v) for w in where]
+    return g.contract_edge(u, v), where
+
+
 def brute_has_claw(g: LabeledGraph) -> bool:
     """Any 4-subset inducing a star with three leaves."""
     for quad in itertools.combinations(range(g.n), 4):

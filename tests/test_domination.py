@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -29,14 +30,17 @@ from domblocker import (
     star_graph,
 )
 from domblocker import domination
+from domblocker.graphs import contract_masks
 from domblocker.cnf import gen_3sat, satisfiable_fixture, unsatisfiable_fixture
 from domblocker.reductions import build_p7free, build_subcubic
 from domblocker.smallgraphs import random_connected_graph, random_degree23_graph
 
 from bruteforce import (
     brute_all_mds,
+    brute_ct,
     brute_efficient,
     brute_gamma,
+    contract_tracked,
     dominates,
     reference_reduce,
 )
@@ -349,6 +353,33 @@ class TestCtGamma:
                 continue
             assert (ct_gamma(g) == 1) == one_contraction_definitional(g).holds
 
+    def test_matches_sequence_bfs_on_small_corpus(self, small_connected_corpus):
+        for g in small_connected_corpus:
+            assert ct_gamma(g) == (brute_ct(g) or CT_IMPOSSIBLE)
+
+    def test_matches_sequence_bfs_on_degree23_graphs(self):
+        rng = random.Random(8)
+        for _ in range(50):
+            g = random_degree23_graph(rng.randrange(6, 11), rng)
+            assert ct_gamma(g) == (brute_ct(g) or CT_IMPOSSIBLE)
+
+    def test_each_quotient_solved_once(self, gamma_calls, c6):
+        # every graph at most three contractions make from C6, by edge set
+        quotients = set()
+        for k in (1, 2, 3):
+            for edge_set in itertools.combinations(c6.edges(), k):
+                h, where = c6, list(range(c6.n))
+                for a, b in edge_set:
+                    h, where = contract_tracked(h, where, a, b)
+                quotients.add(h.closed_masks)
+        assert ct_gamma(c6) == 3
+        solved = [h.closed_masks for h in gamma_calls]
+        assert solved[0] == c6.closed_masks
+        assert len(set(solved)) == len(solved)
+        assert set(solved[1:]) <= quotients
+        # depth 3 stops at its first drop, so every shallower quotient is solved
+        assert {q for q in quotients if len(q) > c6.n - 3} <= set(solved)
+
 
 class TestBlockerReport:
     def test_c6_report(self, c6):
@@ -410,28 +441,22 @@ class TestGammaTable:
         assert table.solve(g).gamma > rmap.expected_gamma()  # unsatisfiable: above the floor
         assert len(gamma_calls) == 3  # two refused, one stored
 
-    def test_results_persist_and_contractions_follow_the_last_parent(
-        self, gamma_calls, c6, c9
-    ):
+    def test_results_persist(self, gamma_calls, c6, c9):
         table = GammaTable()
         first = table.solve(c9)
         decision = all_independent_md(c9, table)
-        contracted = table.contract(c9, 0, 1)
-        assert table.contract(c9, 0, 1) is contracted
         nodes = table.nodes
         assert nodes > 0
         table.solve(c6)
-        table.contract(c6, 0, 1)
+        all_independent_md(c6, table)
         nodes_after_c6 = table.nodes
         assert nodes_after_c6 > nodes
         # γ and decisions of c9 outlive the move to c6, and cost no nodes
         assert table.solve(c9) is first
+        assert table.solve_masks(c9.closed_masks) is first
         assert all_independent_md(c9, table) is decision
         assert table.nodes == nodes_after_c6
         assert gamma_calls == [c9, c6]
-        # only the contractions of the last parent are kept
-        rebuilt = table.contract(c9, 0, 1)
-        assert rebuilt is not contracted and rebuilt == contracted
 
     def test_budget_bounds_every_search_together(self):
         # every single γ solve below fits the budget; the searches together do not
@@ -444,24 +469,30 @@ class TestGammaTable:
             ct_gamma(g, table)
         assert table.nodes == exc.value.nodes == 51
 
-    def test_single_contractions_built_once(self, monkeypatch):
-        # C6 has γ = 2 and no edge lowers it, so the definitional oracle and
-        # the first level of ct_gamma both contract every edge
-        g = cycle_graph(6)
+    def test_hit_costs_no_nodes_and_builds_no_graph(self, monkeypatch, gamma_calls, c6):
         built = []
-        contract = LabeledGraph.contract_edge
+        build = LabeledGraph.from_closed_masks
 
-        def counted(h, u, v):
-            if h.adj == g.adj:
-                built.append((u, v))
-            return contract(h, u, v)
+        def counted(masks, labels=None):
+            built.append(masks)
+            return build(masks, labels)
 
-        monkeypatch.setattr(LabeledGraph, "contract_edge", counted)
+        monkeypatch.setattr(LabeledGraph, "from_closed_masks", staticmethod(counted))
         table = GammaTable()
-        assert not one_contraction_definitional(g, table=table).holds
-        assert ct_gamma(g, table=table) == 3
-        assert built == g.edges()
-        assert table.contract(g, 0, 1) is table.contract(g, 0, 1)
+        masks = contract_masks(c6.closed_masks, 0, 1)
+        first = table.solve_masks(masks)
+        assert first.gamma == 2 and built == [masks]
+        nodes = table.nodes
+        assert table.solve_masks(masks) is first
+        assert table.nodes == nodes and built == [masks] and len(gamma_calls) == 1
+        # C6 has γ = 2 and no edge lowers it, so the definitional oracle and
+        # the first level of ct_gamma both contract every edge; ct_gamma
+        # builds only what the oracle left unsolved
+        assert not one_contraction_definitional(c6, table=table).holds
+        single = len(built)
+        assert ct_gamma(c6, table=table) == 3
+        assert len(built) == len(gamma_calls) - 1  # all but C6 itself
+        assert not set(built[single:]) & set(built[:single])
 
 
 class TestSearchTrees:

@@ -9,7 +9,7 @@ from domblocker import (
     cycle_graph,
 )
 
-from bruteforce import brute_gamma
+from bruteforce import brute_gamma, contract_tracked
 
 
 def is_cycle(g: LabeledGraph) -> bool:
@@ -71,15 +71,37 @@ class TestContractEdge:
     def test_merged_vertex_label_plain(self):
         labels = [VertexLabel("clause", clause=0)] * 3
         g = LabeledGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)], labels)
-        h = g.contract_edge(0, 1)
-        assert h.labels[1].kind == "plain"
-        assert h.labels[0].kind == "clause"
+        h = g.contract_edge(1, 0)
+        assert h.labels[0].kind == "plain"  # the lower endpoint's slot
+        assert h.labels[1].kind == "clause"
 
     @given(random_graph_strategy())
     @settings(max_examples=60, deadline=None)
     def test_vertex_count_drops_by_one(self, g):
         for u, v in g.edges():
             assert g.contract_edge(u, v).n == g.n - 1
+
+    @given(random_graph_strategy(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_forest_contracts_alike_in_every_order(self, g, rng):
+        # a spanning forest of g: contracting its edges never meets a loop
+        component = list(range(g.n))
+        forest = []
+        for u, v in rng.sample(g.edges(), g.edge_count()):
+            if component[u] != component[v]:
+                old = component[v]
+                component = [component[u] if c == old else c for c in component]
+                forest.append((u, v))
+        results = []
+        for order in (rng.sample(forest, len(forest)), rng.sample(forest, len(forest))):
+            h, where = g, list(range(g.n))
+            for a, b in order:
+                h, where = contract_tracked(h, where, a, b)
+            results.append(h)
+        assert results[0] == results[1]
+        assert results[0].closed_masks == LabeledGraph.from_edges(
+            results[0].n, results[0].edges(), results[0].labels
+        ).closed_masks
 
     @given(random_graph_strategy(max_n=6))
     @settings(max_examples=40, deadline=None)

@@ -164,6 +164,21 @@ class TestContractionSinglePass:
         failed = next(v for v in suite if v["status"] == "fail")
         assert failed["instance"] == name and failed["counterexample"]
 
+    def test_decider_witness_is_checked_by_set_predicates(self, monkeypatch):
+        real = verify_mod.all_independent_md
+        name, target = next((name, g) for name, g in self.corpus() if not real(g).holds)
+
+        def lying(g, *args, **kwargs):
+            answer = real(g, *args, **kwargs)
+            # every vertex dominates and holds the witness edge, but is too big
+            return Decision(False, frozenset(range(g.n))) if g.adj == target.adj else answer
+
+        monkeypatch.setattr(verify_mod, "all_independent_md", lying)
+        suite = [v.to_json_dict() for v in suite_contraction(self.MAX_N, self.RANDOM_COUNT, self.SEED)]
+        assert [v["status"] for v in suite] == ["fail", "pass"]
+        assert suite[0]["instance"] == name
+        assert suite[0]["counterexample"]["witness_ok"] is False
+
 
 class TestOneBudgetPerRun:
     """One table's budget bounds a whole run of claims: each claim keeps its
