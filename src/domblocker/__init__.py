@@ -35,6 +35,7 @@ from .domination import (
     all_efficient_md,
     all_independent_md,
     blocker_report,
+    ct_definitional,
     ct_gamma,
     domination_number,
     enumerate_minimum_dominating_sets,

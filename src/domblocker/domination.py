@@ -77,18 +77,22 @@ N + 1 of all its searches together, not of each. For the whole command the
 table keeps γ of every labeled graph met and the every-MDS decisions
 (``all_efficient_md``, ``all_independent_md``), keyed by the graph's closed
 neighbourhood masks, so no labeled graph is solved or enumerated twice: not
-the input graph, not a contraction at any depth of ``ct_gamma``, and not a
-graph that two corpus graphs share as a contraction. Only results of
+the input graph, not a contraction at any depth of ``ct_definitional``, and
+not a graph that two corpus graphs share as a contraction. Only results of
 identical labeled graphs are shared; each kind of question still runs its
-own code path (the contraction oracle compares γ values, the deciders
-enumerate, ``ct_gamma`` searches contractions).
+own code path (the contraction oracles compare γ values, the deciders
+enumerate).
 
-Both contraction searches work on closed masks alone: ``contract_masks``
-puts the merged vertex in the lower endpoint's slot, so every order of
-contracting one edge set gives one tuple, and ``GammaTable.solve_masks``
-builds a graph from a tuple only when the table lacks it. ``ct_gamma``
-therefore solves each contracted edge set once, and the graphs that at most
-three contractions make are exactly those the sequence search reaches.
+``ct_gamma`` contracts nothing. It reads ct from its characterization:
+the all-independent and all-efficient decisions, which ``blocker_report``
+already holds in the table, and, only when both hold, forced-set solves on
+one optimizer that ask whether a dominating set of γ + 1 vertices can induce
+two edges. Its oracle ``ct_definitional`` searches contraction sequences of
+length at most three on closed masks alone, as ``one_contraction_definitional``
+does for one: ``contract_masks`` puts the merged vertex in the lower
+endpoint's slot, so every order of contracting one edge set gives one tuple,
+and ``GammaTable.solve_masks`` builds a graph from a tuple only when the table
+lacks it. The search therefore solves each contracted edge set once.
 """
 
 from __future__ import annotations
@@ -716,12 +720,13 @@ def _edges(masks: tuple[int, ...]) -> Iterator[tuple[int, int]]:
             higher ^= low
 
 
-def ct_gamma(g: LabeledGraph, table: Optional[GammaTable] = None) -> int | str:
-    """Minimum number of contractions decreasing gamma, searching depth <= 3.
+def ct_definitional(g: LabeledGraph, table: Optional[GammaTable] = None) -> int | str:
+    """Ground-truth oracle for ``ct_gamma``: the least k <= 3 such that some
+    k contractions lower gamma, found by contracting every edge of every
+    graph on a level and comparing gammas.
 
     Returns CT_IMPOSSIBLE when gamma(g) = 1 (no contraction sequence can ever
-    help) or when no sequence of at most three succeeds; for connected graphs
-    with gamma >= 2 the classical bound guarantees a numeric answer.
+    help) or when no sequence of at most three succeeds.
     """
     if not g.is_connected():
         raise GraphError("contraction search requires a connected graph")
@@ -747,6 +752,57 @@ def ct_gamma(g: LabeledGraph, table: Optional[GammaTable] = None) -> int | str:
                     next_level[contracted] = None
         level = next_level
     return CT_IMPOSSIBLE
+
+
+def _two_edges_dominate(g: LabeledGraph, gamma: int, table: GammaTable) -> bool:
+    """Does some dominating set of at most gamma + 1 vertices induce two edges?
+
+    Two edges span three vertices when they share one and four when they do
+    not, so each such vertex set S with |S| <= gamma + 1 is forced in turn,
+    once: the answer is yes when the rest of a set can dominate V minus N[S]
+    from V minus S with at most gamma + 1 - |S| vertices. One optimizer
+    serves every forced solve, and each of its nodes ticks ``table``.
+    """
+    search = _Optimizer(g, table)
+    full = search.full
+    edges = [(1 << u) | (1 << v) for u, v in g.edges()]
+    tried = set()
+    for i, a in enumerate(edges):
+        for b in edges[i + 1 :]:
+            forced = a | b
+            size = forced.bit_count()
+            if size > gamma + 1 or forced in tried:
+                continue
+            tried.add(forced)
+            und = full & ~_union(search.nb, forced)
+            if not und or search.min_dominating(und, full & ~forced, gamma + 1 - size) is not None:
+                return True
+    return False
+
+
+def ct_gamma(g: LabeledGraph, table: Optional[GammaTable] = None) -> int | str:
+    """Minimum number of edge contractions that lower gamma, from its
+    characterization (Huang & Xu 2010).
+
+    For connected g with gamma >= 2: ct = 1 iff some minimum dominating set
+    is not independent; otherwise ct = 2 iff some minimum dominating set is
+    not efficient or some dominating set of gamma + 1 vertices induces at
+    least two edges; otherwise ct = 3. Returns CT_IMPOSSIBLE when
+    gamma(g) = 1. The two deciders are the table's, so ``blocker_report``
+    reads them without a search; ``ct_definitional`` is the contraction
+    search it is checked against.
+    """
+    if not g.is_connected():
+        raise GraphError("ct_gamma requires a connected graph")
+    table = GammaTable() if table is None else table
+    gamma = table.solve(g).gamma
+    if gamma == 1:
+        return CT_IMPOSSIBLE
+    if not all_independent_md(g, table).holds:
+        return 1
+    if not all_efficient_md(g, table).holds or _two_edges_dominate(g, gamma, table):
+        return 2
+    return 3
 
 
 # -- blocker report --------------------------------------------------------------

@@ -159,14 +159,17 @@ def test_criterion_2_three_contractions_bound(contraction_corpus):
         if db.domination_number(g).gamma < 2:
             continue
         checked += 1
-        ct = db.ct_gamma(g)
-        if ct not in (1, 2, 3):
-            failures.append((i, ct))
+        table = db.GammaTable()
+        ct = db.ct_gamma(g, table)
+        definitional = db.ct_definitional(g, table)
+        if ct not in (1, 2, 3) or ct != definitional:
+            failures.append((i, ct, definitional))
     elapsed = time.monotonic() - start
     report(
         2,
         not failures and elapsed < 600,
-        f"{checked} graphs with gamma >= 2, {len(failures)} out of bound, {elapsed:.1f}s (< 600s)",
+        f"{checked} graphs with gamma >= 2, {len(failures)} out of bound or unequal to the "
+        f"contraction search, {elapsed:.1f}s (< 600s)",
     )
 
 

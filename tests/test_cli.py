@@ -167,8 +167,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("what, budget", [("ct", "50"), ("blocker", "1000")])
     def test_budget_bounds_the_whole_command(self, runner, what, budget):
-        # each γ solve of ct_gamma's search fits the budget on its own; the
-        # whole search does not
+        # the γ solve and each forced-set solve of ct_gamma fit either budget
+        # on their own; the command's searches together do not
         build = str(GOLDEN / "build_subcubic_fixture.json")
         result = runner.invoke(
             main, ["solve", "--format", "json", "-i", build, "--what", what, "--budget", budget]

@@ -18,6 +18,7 @@ from domblocker import (
     all_independent_md,
     blocker_report,
     complete_graph,
+    ct_definitional,
     ct_gamma,
     cycle_graph,
     domination_number,
@@ -27,6 +28,8 @@ from domblocker import (
     is_independent,
     one_contraction_decision,
     one_contraction_definitional,
+    parse_graph6,
+    path_graph,
     star_graph,
 )
 from domblocker import domination
@@ -337,6 +340,8 @@ class TestCtGamma:
         g = LabeledGraph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(GraphError):
             ct_gamma(g)
+        with pytest.raises(GraphError):
+            ct_definitional(g)
 
     def test_bound_holds_on_small_corpus(self, small_connected_corpus):
         for g in small_connected_corpus:
@@ -355,13 +360,27 @@ class TestCtGamma:
 
     def test_matches_sequence_bfs_on_small_corpus(self, small_connected_corpus):
         for g in small_connected_corpus:
-            assert ct_gamma(g) == (brute_ct(g) or CT_IMPOSSIBLE)
+            want = brute_ct(g) or CT_IMPOSSIBLE
+            assert ct_gamma(g) == want
+            assert ct_definitional(g) == want
 
     def test_matches_sequence_bfs_on_degree23_graphs(self):
         rng = random.Random(8)
         for _ in range(50):
             g = random_degree23_graph(rng.randrange(6, 11), rng)
-            assert ct_gamma(g) == (brute_ct(g) or CT_IMPOSSIBLE)
+            want = brute_ct(g) or CT_IMPOSSIBLE
+            assert ct_gamma(g) == want
+            assert ct_definitional(g) == want
+
+    def test_gamma_plus_one_clause(self):
+        # every MDS of both graphs is independent and efficient, so the γ + 1
+        # clause alone decides 2 against 3. EsWO (edges 01 02 03 14 24 35) is
+        # dominated by {0, 1, 3}, which induces two edges on γ + 1 = 3
+        # vertices. Two disjoint edges dominate P6, but on 4 > γ + 1 vertices
+        for g, ct in ((parse_graph6("EsWO"), 2), (path_graph(6), 3)):
+            assert domination_number(g).gamma == 2
+            assert all_independent_md(g).holds and all_efficient_md(g).holds
+            assert ct_gamma(g) == ct_definitional(g) == brute_ct(g) == ct
 
     def test_each_quotient_solved_once(self, gamma_calls, c6):
         # every graph at most three contractions make from C6, by edge set
@@ -372,7 +391,7 @@ class TestCtGamma:
                 for a, b in edge_set:
                     h, where = contract_tracked(h, where, a, b)
                 quotients.add(h.closed_masks)
-        assert ct_gamma(c6) == 3
+        assert ct_definitional(c6) == 3
         solved = [h.closed_masks for h in gamma_calls]
         assert solved[0] == c6.closed_masks
         assert len(set(solved)) == len(solved)
@@ -485,12 +504,12 @@ class TestGammaTable:
         nodes = table.nodes
         assert table.solve_masks(masks) is first
         assert table.nodes == nodes and built == [masks] and len(gamma_calls) == 1
-        # C6 has γ = 2 and no edge lowers it, so the definitional oracle and
-        # the first level of ct_gamma both contract every edge; ct_gamma
-        # builds only what the oracle left unsolved
+        # C6 has γ = 2 and no edge lowers it, so the one-contraction oracle
+        # and the first level of ct_definitional both contract every edge;
+        # ct_definitional builds only what the first left unsolved
         assert not one_contraction_definitional(c6, table=table).holds
         single = len(built)
-        assert ct_gamma(c6, table=table) == 3
+        assert ct_definitional(c6, table=table) == 3
         assert len(built) == len(gamma_calls) - 1  # all but C6 itself
         assert not set(built[single:]) & set(built[:single])
 

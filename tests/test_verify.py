@@ -147,6 +147,7 @@ class TestContractionSinglePass:
         [
             ("all_independent_md", lambda d: Decision(not d.holds, d.witness)),
             ("ct_gamma", lambda ct: 4),
+            ("ct_definitional", lambda ct: 4),
         ],
     )
     def test_lying_decider_fails_its_claim_only(self, monkeypatch, decider, lie):
