@@ -145,6 +145,11 @@ def cmd_gen(num_vars, flavor, clauses, seed, output):
 @click.option("--map", "map_path", default=None, help="Reduction-map sidecar path (default: <output>.map.json).")
 def cmd_build(target, input_path, fmt, output, dot_path, g6_path, map_path):
     """Compile a formula (or degree-{2,3} graph) into a gadget graph."""
+    accepted = ("graph6", "json") if target == "clawfree" else ("dimacs",)
+    if fmt is not None and fmt not in accepted:
+        raise click.UsageError(
+            f"--format {fmt} does not fit --target {target}; accepted: {', '.join(accepted)}"
+        )
     try:
         if target == "subcubic":
             formula = parse_dimacs_cnf(_read_text(input_path), flavor="1in3")
@@ -153,8 +158,7 @@ def cmd_build(target, input_path, fmt, output, dot_path, g6_path, map_path):
             formula = parse_dimacs_cnf(_read_text(input_path), flavor="3sat")
             graph, rmap = reductions.build_p7free(formula)
         else:
-            fmt = fmt or "graph6"
-            source = _read_graph(input_path, fmt)
+            source = _read_graph(input_path, fmt or "graph6")
             graph, rmap = reductions.build_clawfree(source)
     except (CnfError, FormatError, reductions.ReductionError, GraphError) as exc:
         raise click.UsageError(str(exc))
@@ -234,16 +238,9 @@ def cmd_solve(input_path, fmt, what, budget, output):
 @click.option("-o", "--output", default="-", show_default=True)
 def cmd_verify(suite, max_n, random_count, seed, budget, output):
     """Run a verification suite; exit 0 only if every check passes."""
-    common = {"table": GammaTable(budget if budget is not None else _default_budget())}
-    per_suite = {
-        "contraction": {"max_n": max_n, "random_count": random_count, "seed": seed, **common},
-        "subcubic": {"seed": seed, **common},
-        "clawfree": {"seed": seed, **common},
-        "p7": {**common},
-    }
-    names = sorted(verify.SUITES) if suite == "all" else [suite]
+    table = GammaTable(budget if budget is not None else _default_budget())
     verdicts = [
-        v.to_json_dict() for name in names for v in verify.run_suite(name, **per_suite[name])
+        v.to_json_dict() for v in verify.run_suite(suite, max_n, random_count, seed, table)
     ]
     _write_text(output, json.dumps(verdicts, indent=2, sort_keys=True) + "\n")
     counts = {"pass": 0, "fail": 0, "skipped": 0}

@@ -619,14 +619,12 @@ def visit_minimum_dominating_sets(
     g: LabeledGraph,
     visitor: Callable[[frozenset[int]], bool],
     table: Optional[GammaTable] = None,
-    gamma: Optional[int] = None,
 ) -> int:
     """Stream every minimum dominating set to the visitor, which returns False
     to stop early. Order is the deterministic search-tree order (not sorted);
     each set is visited exactly once. Returns gamma."""
-    if gamma is None:
-        table = GammaTable() if table is None else table
-        gamma = table.solve(g).gamma
+    table = GammaTable() if table is None else table
+    gamma = table.solve(g).gamma
     _Enumerator(g, gamma, table).visit_all(visitor)
     return gamma
 
@@ -660,7 +658,7 @@ def _every_minimum_set(
             return False
         return True
 
-    visit_minimum_dominating_sets(g, check, table, table.solve(g).gamma)
+    visit_minimum_dominating_sets(g, check, table)
     return Decision(not bad, bad[0] if bad else None)
 
 
@@ -847,16 +845,9 @@ def blocker_report(g: LabeledGraph, table: Optional[GammaTable] = None) -> Block
     result = table.solve(g)
     efficient = all_efficient_md(g, table)
     independent = all_independent_md(g, table)
-    if result.gamma == 1:
-        one = Decision(False)
-        ct: int | str = CT_IMPOSSIBLE
-    else:
-        if independent.holds:
-            one = Decision(False)
-        else:
-            one = Decision(True, set_edges(g, independent.witness)[0])
-        try:
-            ct = ct_gamma(g, table)
-        except BudgetExceeded:
-            ct = "unknown"
+    one = one_contraction_decision(g, table)
+    try:
+        ct: int | str = ct_gamma(g, table)
+    except BudgetExceeded:
+        ct = "unknown"
     return BlockerReport(result.gamma, result.witness, one, efficient, independent, ct)

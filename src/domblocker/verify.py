@@ -31,10 +31,21 @@ table by the tuple, so a contraction that the table has solved is never
 rebuilt. Without
 a budget each claim keeps the verdict it has when it runs alone: its first
 failure, with the same counts and details.
+
+The ``subcubic`` suite checks the isolated variable gadget and both claims
+on the two bundled formulas. Every valid formula on three or four variables
+is one of them up to clause order: at three variables the only clause is
+(1,2,3), and at four each clause leaves out a different variable. So random
+formulas of those sizes would only check the same two again.
+
+``run_suite`` is the one way into the suites. It hands each suite only the
+options that suite takes, runs "all" in name order on one table, and looks
+each suite up in ``SUITES`` when it runs, so a wrapped entry is called.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 from dataclasses import dataclass
@@ -44,7 +55,6 @@ from . import reductions
 from .cnf import (
     Formula1in3,
     Formula3Sat,
-    gen_1in3,
     satisfiable_fixture,
     solve_1in3_brute,
     solve_3sat_brute,
@@ -492,16 +502,10 @@ def suite_contraction(
     return _corpus_verdicts(corpus, table, [_EQUIVALENCES, _BOUND])
 
 
-def suite_subcubic(
-    random_instances: int = 10, seed: int = 2024, table: Optional[GammaTable] = None
-) -> list[ClaimVerdict]:
+def suite_subcubic(table: Optional[GammaTable] = None) -> list[ClaimVerdict]:
     table = _table(table)
     verdicts = [verify_nine_cycle_gadget(table)]
-    fixtures: list[Formula1in3] = [satisfiable_fixture(), unsatisfiable_fixture()]
-    rng = random.Random(seed)
-    for _ in range(random_instances):
-        fixtures.append(gen_1in3(rng.choice((3, 4)), rng.randrange(1 << 30)))
-    for f in fixtures:
+    for f in (satisfiable_fixture(), unsatisfiable_fixture()):
         verdicts.append(verify_subcubic_gamma(f, table))
         verdicts.append(verify_subcubic_efficiency(f, table))
     return verdicts
@@ -568,12 +572,21 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **kwargs) -> list[ClaimVerdict]:
-    if name == "all":
-        out = []
-        for suite in SUITES.values():
-            out.extend(suite(**kwargs))
-        return out
-    if name not in SUITES:
+def run_suite(
+    name: str,
+    max_n: int = 6,
+    random_count: int = 200,
+    seed: int = 2024,
+    table: Optional[GammaTable] = None,
+) -> list[ClaimVerdict]:
+    """The verdicts of one suite, or of every suite in name order for "all",
+    on one table; each suite gets only the options it takes."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](**kwargs)
+    options = {"max_n": max_n, "random_count": random_count, "seed": seed, "table": _table(table)}
+    verdicts = []
+    for suite_name in sorted(SUITES) if name == "all" else [name]:
+        suite = SUITES[suite_name]
+        takes = inspect.signature(suite).parameters
+        verdicts.extend(suite(**{k: v for k, v in options.items() if k in takes}))
+    return verdicts

@@ -2,13 +2,15 @@
 
 Deliberately written against the plain set-based definitions (no bitmasks, no
 pruning) so they share no code path with the package implementations they
-check; the one exception, the reference listing, shares the canonical
-certificate and checks only which extensions the listing skips.
+check. Two exceptions: the reference listing shares the canonical
+certificate and checks only which extensions the listing skips, and
+``contract_tracked`` contracts with ``LabeledGraph.contract_edge``, since
+what it tests is that contracting an edge set gives one graph in every order.
 """
 
 import itertools
 
-from domblocker import LabeledGraph
+from domblocker import LabeledGraph, VertexLabel
 from domblocker.smallgraphs import _certificate
 
 
@@ -40,9 +42,25 @@ def brute_all_mds(g: LabeledGraph) -> set[frozenset]:
     }
 
 
+def set_contraction(g: LabeledGraph, u, v) -> LabeledGraph:
+    """Contract edge {u, v}, u < v: the merged vertex keeps u's slot and is
+    adjacent to N(u) | N(v) less both ends; v goes, and every vertex above v
+    moves down one."""
+
+    def renumber(w):
+        return u if w == v else w - (w > v)
+
+    adj = []
+    for w in range(g.n):
+        if w != v:
+            nbrs = set(g.adj[u]) | set(g.adj[v]) if w == u else set(g.adj[w])
+            adj.append(frozenset(renumber(x) for x in nbrs) - {renumber(w)})
+    return LabeledGraph(g.n - 1, tuple(adj), (VertexLabel(),) * (g.n - 1))
+
+
 def brute_ct(g: LabeledGraph):
     """ct_γ by the sequence BFS: contract every edge of every graph on a
-    level with ``contract_edge``, one graph per adjacency, and compare
+    level with ``set_contraction``, one graph per adjacency, and compare
     brute-force γ. The depth at which γ first drops, or None when three
     contractions never lower it (always when γ = 1)."""
     gamma = brute_gamma(g)
@@ -51,7 +69,7 @@ def brute_ct(g: LabeledGraph):
         next_level = {}
         for h in level.values():
             for u, v in h.edges():
-                contracted = h.contract_edge(u, v)
+                contracted = set_contraction(h, u, v)
                 if contracted.adj in next_level:
                     continue
                 if brute_gamma(contracted) < gamma:

@@ -80,6 +80,19 @@ class TestBuild:
         assert result.exit_code == 0
         assert json.loads(result.output)["n"] == 10
 
+    @pytest.mark.parametrize(
+        "target, fmt, accepted",
+        [("subcubic", "graph6", "dimacs"), ("p7free", "json", "dimacs"), ("clawfree", "dimacs", "graph6, json")],
+    )
+    def test_format_must_fit_target(self, runner, target, fmt, accepted):
+        result = runner.invoke(
+            main,
+            ["build", "--target", target, "--format", fmt],
+            input=emit_dimacs_cnf(satisfiable_fixture()),
+        )
+        assert result.exit_code == 2
+        assert f"accepted: {accepted}" in result.output
+
     def test_sidecars(self, runner, tmp_path):
         out = tmp_path / "g.json"
         dot = tmp_path / "g.dot"

@@ -9,7 +9,7 @@ from domblocker import (
     cycle_graph,
 )
 
-from bruteforce import brute_gamma, contract_tracked
+from bruteforce import brute_gamma, contract_tracked, set_contraction
 
 
 def is_cycle(g: LabeledGraph) -> bool:
@@ -80,6 +80,11 @@ class TestContractEdge:
     def test_vertex_count_drops_by_one(self, g):
         for u, v in g.edges():
             assert g.contract_edge(u, v).n == g.n - 1
+
+    def test_matches_set_contraction(self, small_connected_corpus):
+        for g in small_connected_corpus:
+            for u, v in g.edges():
+                assert g.contract_edge(u, v).adj == set_contraction(g, u, v).adj
 
     @given(random_graph_strategy(), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)

@@ -1,14 +1,20 @@
+import itertools
+import json
+from pathlib import Path
+
 import pytest
 
 import domblocker.verify as verify_mod
 from domblocker import (
     Decision,
+    Formula1in3,
     GammaTable,
     all_independent_md,
     cycle_graph,
     path_graph,
     satisfiable_fixture,
     unsatisfiable_fixture,
+    validate_1in3,
 )
 from domblocker.reductions import build_p7free
 from domblocker.verify import (
@@ -113,8 +119,32 @@ class TestSuites:
             run_suite("nope")
 
     def test_subcubic_suite_small(self):
-        verdicts = suite_subcubic(random_instances=2, seed=5)
-        assert verdicts and all(v.passed for v in verdicts)
+        verdicts = suite_subcubic()
+        assert [v.claim for v in verdicts] == ["nine-cycle-gadget-minimum-sets"] + [
+            "subcubic-gamma-iff-sat",
+            "subcubic-all-efficient-iff-tight",
+        ] * 2
+        assert all(v.passed for v in verdicts)
+
+    @pytest.mark.parametrize("num_vars", [3, 4])
+    def test_fixtures_are_every_small_formula(self, num_vars):
+        # each variable occurs three times, so a valid formula has num_vars
+        # clauses of three variables: every multiset of those is listed
+        fixtures = {
+            f.num_vars: sorted(f.clauses) for f in (satisfiable_fixture(), unsatisfiable_fixture())
+        }
+        triples = itertools.combinations_with_replacement(range(1, num_vars + 1), 3)
+        valid = [
+            list(clauses)
+            for clauses in itertools.combinations_with_replacement(list(triples), num_vars)
+            if not validate_1in3(Formula1in3.make(num_vars, clauses))
+        ]
+        assert valid == [fixtures[num_vars]]
+
+    def test_all_matches_golden(self):
+        verdicts = run_suite("all", max_n=6, random_count=200, seed=2024, table=GammaTable())
+        text = json.dumps([v.to_json_dict() for v in verdicts], indent=2, sort_keys=True) + "\n"
+        assert text == (Path(__file__).parent / "golden" / "verify_all_n6_seed2024.json").read_text()
 
     def test_clawfree_suite_small(self):
         verdicts = suite_clawfree(random_instances=1, seed=5)
@@ -187,7 +217,7 @@ class TestOneBudgetPerRun:
     out, is skipped at that one exhausted count."""
 
     RUNS = {
-        "subcubic": lambda table: suite_subcubic(2, 5, table),
+        "subcubic": suite_subcubic,
         "contraction": lambda table: suite_contraction(5, 4, 3, table),
         "p7": lambda table: suite_p7(table, 2),
     }
