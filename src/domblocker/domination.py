@@ -5,31 +5,43 @@ The solver is a branch-and-bound over "which vertex dominates the most
 constrained undominated vertex": it branches over the closed neighborhood of
 an undominated vertex with the fewest live dominators, excluding already-tried
 candidates from the subtrees so the leaves partition the solution space. The
-lower bound combines a greedy packing of pairwise-disjoint live-dominator sets
-with a fractional dual (each undominated vertex contributes 1/c where c is the
-best coverage any single candidate could give it). Optimize mode additionally
-applies the standard exact reductions (forced unique dominators, candidate
-dominance, element dominance) and solves decoupled residual components
-independently; enumeration mode keeps only the reductions that preserve the
-full solution set, so it visits every minimum dominating set exactly once.
+lower bound is the larger of a greedy packing of pairwise-disjoint
+live-dominator sets and a fractional dual (each undominated vertex
+contributes 1/c where c is the best coverage any single candidate could give
+it). Optimize mode additionally applies the standard exact reductions
+(forced unique dominators, candidate dominance, element dominance) and
+solves decoupled residual components independently; enumeration mode keeps
+only the reductions that preserve the full solution set, so it visits every
+minimum dominating set exactly once.
 Both share one ``reduce``; the enumerator switches candidate dominance off.
 
 Vertex sets are int bitmasks, walked in ascending vertex order. The lower
 bound walks dense masks (the undominated and the available vertices, up to n
 bits), so it decodes each one into a list in a single pass over its
-``bin()`` string. It sorts the undominated vertices by live count, so it
-returns the branch set too, and each component's bound, computed once where
-the optimizer splits, is handed to the node that branches on it. The
-reductions walk only their marked vertices (below), lowest set bit first. The inner dominance loops ask
+``bin()`` string. It puts each undominated vertex in the bucket of its live
+count, 1 to ``width`` (the graph's largest closed neighbourhood), in
+ascending vertex order, so walking the buckets is the (count, vertex) order
+without a sort: the greedy packing walks it, and the first vertex of the
+lowest bucket gives the branch set. A caller that only asks whether the
+bound exceeds a threshold passes it as ``need`` (the enumerator its γ minus
+the chosen size, the optimizer its limit minus the forced size when the
+residual is one component), and a packing larger than ``need`` is returned
+at once. Otherwise the fractional part ORs N[x] of each available x into the
+level of its coverage c_x = |N[x] ∩ und|, and walks the levels from
+``width`` down: the undominated vertices first met at level c add 1/c,
+counted exactly in units of 1/lcm(1..width), so the ceiling is exact. Each
+component's bound, computed once where the optimizer splits, is handed to
+the node that branches on it. The reductions walk only their marked
+vertices (below), lowest set bit first. The inner dominance loops ask
 "which two-hop neighbours of y are still in the mask?": they walk a
-per-vertex list of two-hop neighbours, built once per search from the
-adjacency sets, and test one bit per entry instead of decoding
-``two[y] & mask``; the fractional bound reads closed neighbourhoods from the
-adjacency sets the same way. Sparse masks (a branch set, a component
-frontier, a solution) go through the ``_bits`` generator, which costs per set
-bit rather than per bit position. Every walk keeps ascending order where order
-matters, so the choice changes the cost of a node, never which nodes the
-search visits.
+per-vertex list of two-hop neighbours and test one bit per entry instead of
+decoding ``two[y] & mask``. The two-hop masks and lists, ``width`` and the
+lcm units are built once per graph and kept with it
+(``LabeledGraph.search_setup``), so every search of one graph shares them.
+Sparse masks (a branch set, a component frontier, a solution) go through
+the ``_bits`` generator, which costs per set bit rather than per bit
+position. Every walk keeps ascending order where order matters, so the
+choice changes the cost of a node, never which nodes the search visits.
 
 ``reduce`` re-checks a rule only where it can newly fire. Inside ``reduce``
 and from a node to its children, und and avail only lose bits: a child is
@@ -97,7 +109,6 @@ lacks it. The search therefore solves each contracted edge set once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -201,24 +212,11 @@ class _Search:
     solution_preserving = False
 
     def __init__(self, g: LabeledGraph, table: Optional[GammaTable]):
-        self.g = g
-        self.nb = nb = g.closed_masks
+        self.nb = g.closed_masks
         self.n = g.n
         self.full = (1 << g.n) - 1
         self.tick = (GammaTable() if table is None else table).tick
-        two = []
-        near = []
-        for v, adj in enumerate(g.adj):
-            reach = nb[v]
-            hop = set(adj)
-            for w in adj:
-                reach |= nb[w]
-                hop |= g.adj[w]
-            hop.discard(v)
-            two.append(reach)
-            near.append(sorted(hop))
-        self.two = two  # closed two-hop masks
-        self.near = near  # two-hop neighbours without v itself, ascending
+        self.two, self.near, self.width, self.units = g.search_setup
 
     def greedy_cover(self) -> list[int]:
         """Greedy max-coverage dominating set; the initial upper bound."""
@@ -327,43 +325,60 @@ class _Search:
                 mark_candidate |= nb[v]
         return forced, und, avail
 
-    def lower_bound(self, und: int, avail: int) -> tuple[int, int]:
+    def lower_bound(
+        self, und: int, avail: int, need: Optional[int] = None
+    ) -> tuple[int, int]:
         """(bound, branch set): a lower bound on the dominators und still
         needs from avail, and the live dominators of the most constrained
-        undominated vertex (fewest live dominators, lowest id on ties)."""
+        undominated vertex (fewest live dominators, lowest id on ties).
+
+        With ``need`` given, a packing larger than ``need`` is returned as
+        the bound at once: the caller only asks whether the bound exceeds
+        ``need``, and the full bound is at least the packing."""
         nb = self.nb
-        order = []
-        und_list = _bit_list(und)
-        for v in und_list:
+        units = self.units
+        # buckets[c]: live sets of the undominated vertices with c live
+        # dominators, ascending by vertex, so the walk below is the sorted
+        # (count, vertex) order
+        buckets: list[list[int]] = [[] for _ in units]
+        for v in _bit_list(und):
             live = nb[v] & avail
             if not live:
                 return self.n + 1, 0  # this vertex can never be dominated
-            order.append((live.bit_count(), v, live))
-        order.sort()
+            buckets[live.bit_count()].append(live)
         blocked = 0
         packed = 0
-        for _, _, live in order:
-            if not live & blocked:
-                packed += 1
-                blocked |= live
+        for bucket in buckets:
+            for live in bucket:
+                if not live & blocked:
+                    packed += 1
+                    blocked |= live
+        for bucket in buckets:
+            if bucket:
+                branch = bucket[0]
+                break
+        if need is not None and packed > need:
+            return packed, branch
         # fractional dual: weight 1/c_v where c_v is the best single-candidate
         # coverage available to v; feasible because each candidate's weights
-        # then sum to at most 1. Entries outside und are written, never read.
-        maxcov = [0] * self.n
-        adj = self.g.adj
+        # then sum to at most 1. reach[c] is the union of N[x] over the
+        # candidates x that cover c undominated vertices, so the vertices
+        # first met at level c, walking down, have c_v = c; the sum counts
+        # units of 1/lcm(1..width) = 1/units[1]
+        reach = [0] * len(units)
         for x in _bit_list(avail):
-            c = (nb[x] & und).bit_count()
-            if not c:
-                continue
-            if maxcov[x] < c:
-                maxcov[x] = c
-            for v in adj[x]:
-                if maxcov[v] < c:
-                    maxcov[v] = c
-        total = 0.0
-        for v in und_list:
-            total += 1.0 / maxcov[v]
-        return max(packed, math.ceil(total - 1e-9)), order[0][2]
+            m = nb[x]
+            reach[(m & und).bit_count()] |= m
+        total = 0
+        left = und
+        for c in range(self.width, 0, -1):
+            fresh = reach[c] & left
+            if fresh:
+                total += fresh.bit_count() * units[c]
+                left ^= fresh
+                if not left:
+                    break
+        return max(packed, -(-total // units[1])), branch
 
     def split_components(self, und: int) -> list[int]:
         """Partition und into masks no candidate can cover across.
@@ -408,7 +423,10 @@ class _Optimizer(_Search):
             return (k, forced)
         fixpoint = (und, avail)
         comps = self.split_components(und)
-        bounds = [self.lower_bound(c, avail) for c in comps]
+        # a lone component's bound is only compared with limit - k; the
+        # parts of a split need exact bounds for remaining and the caps
+        need = limit - k if len(comps) == 1 else None
+        bounds = [self.lower_bound(c, avail, need) for c in comps]
         remaining = sum(bound for bound, _ in bounds)
         # a lone component's bound is checked inside its node, after that
         # node is counted: the pinned node counts include such nodes
@@ -513,7 +531,7 @@ class _Enumerator(_Search):
             # smaller one with unused vertices would not dominate "exactly
             # once" semantics, and minimality forbids it anyway
             return True
-        bound, branch_live = self.lower_bound(und, avail)
+        bound, branch_live = self.lower_bound(und, avail, self.gamma - size)
         if size + bound > self.gamma:
             return True
         fixpoint = (und, avail)

@@ -10,9 +10,10 @@ address gadget vertices by role instead of by position.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,16 @@ _INDEXED_KINDS = frozenset(
 )
 
 PLAIN = VertexLabel()
+
+
+class SearchSetup(NamedTuple):
+    """What every domination search of one graph reads besides its closed
+    masks (see ``domination``), built once per graph."""
+
+    two: tuple[int, ...]  # closed two-hop masks
+    near: tuple[list[int], ...]  # two-hop neighbours of v without v, ascending
+    width: int  # the largest closed neighbourhood
+    units: tuple[int, ...]  # units[c] = lcm(1..width) // c; units[0] = 0
 
 
 class GraphError(ValueError):
@@ -168,6 +179,27 @@ class LabeledGraph:
             masks.append(m)
         return tuple(masks)
 
+    @cached_property
+    def search_setup(self) -> SearchSetup:
+        """The domination search's per-graph set-up, kept with the graph so
+        the searches of one graph share it."""
+        nb = self.closed_masks
+        two = []
+        near = []
+        for v, adj in enumerate(self.adj):
+            reach = nb[v]
+            hop = set(adj)
+            for w in adj:
+                reach |= nb[w]
+                hop |= self.adj[w]
+            hop.discard(v)
+            two.append(reach)
+            near.append(sorted(hop))
+        width = self.max_degree() + 1
+        lcm = math.lcm(*range(1, width + 1))
+        units = (0,) + tuple(lcm // c for c in range(1, width + 1))
+        return SearchSetup(tuple(two), tuple(near), width, units)
+
     # -- pure operations ---------------------------------------------------
 
     def add_edge(self, u: int, v: int) -> "LabeledGraph":
@@ -212,6 +244,11 @@ class LabeledGraph:
     # -- predicates --------------------------------------------------------
 
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
+        """The verdict of ``is_connected``, found once per graph."""
         if self.n == 0:
             return True
         seen = {0}

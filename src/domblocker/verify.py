@@ -483,7 +483,11 @@ def verify_contraction_bound(
 
 
 def _corpus(max_n: int, random_count: int, random_sizes: tuple[int, ...], seed: int):
-    for i, g in enumerate(connected_graphs_upto(max_n)):
+    graphs = connected_graphs_upto(max_n)
+    for i in range(len(graphs)):
+        # take each graph out of the listing, so it is freed, with the search
+        # set-up it keeps, once its verdicts are in
+        g, graphs[i] = graphs[i], None
         yield f"exhaustive#{i}(n={g.n})", g
     rng = random.Random(seed)
     for i in range(random_count):
@@ -511,9 +515,7 @@ def suite_subcubic(table: Optional[GammaTable] = None) -> list[ClaimVerdict]:
     return verdicts
 
 
-def suite_clawfree(
-    random_instances: int = 5, seed: int = 2024, table: Optional[GammaTable] = None
-) -> list[ClaimVerdict]:
+def suite_clawfree(seed: int = 2024, table: Optional[GammaTable] = None) -> list[ClaimVerdict]:
     cases: list[tuple[str, LabeledGraph]] = [
         ("C4", cycle_graph(4)),
         ("C5", cycle_graph(5)),
@@ -523,7 +525,7 @@ def suite_clawfree(
         ("3-prism", prism_graph()),
     ]
     rng = random.Random(seed)
-    for i in range(random_instances):
+    for i in range(5):
         n = rng.randrange(6, 11)
         cases.append((f"random-deg23#{i}(n={n})", random_degree23_graph(n, rng)))
     verdicts = [verify_clawfree_offset(g, name, table) for name, g in cases]
@@ -556,10 +558,10 @@ def eight_pattern_formula() -> Formula3Sat:
     return Formula3Sat.make(3, pool)
 
 
-def suite_p7(table: Optional[GammaTable] = None, max_clauses: int = 4) -> list[ClaimVerdict]:
+def suite_p7(table: Optional[GammaTable] = None) -> list[ClaimVerdict]:
     table = _table(table)
     verdicts = []
-    for f in all_three_var_formulas(max_clauses) + [eight_pattern_formula()]:
+    for f in all_three_var_formulas() + [eight_pattern_formula()]:
         verdicts.append(verify_triangle_construction(f, table))
     return verdicts
 

@@ -9,6 +9,8 @@ what it tests is that contracting an edge set gives one graph in every order.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 from domblocker import LabeledGraph, VertexLabel
 from domblocker.smallgraphs import _certificate
@@ -204,6 +206,47 @@ def reference_reduce(g: LabeledGraph, und, avail, solution_preserving=False):
                 und.discard(v)
                 changed = True
     return forced, und, avail
+
+
+def reference_lower_bound(g: LabeledGraph, und, avail):
+    """The γ search's lower bound on the vertices of avail that dominating
+    und needs, and its branch set, from the definitions: sort und by
+    (number of live dominators, vertex), pack greedily the vertices whose
+    live dominators meet no earlier packed one's, and take the larger of
+    the packing and the ceiling of the fractional dual, which gives each
+    undominated vertex 1/c for the largest number c of undominated vertices
+    that one of its live dominators covers. The branch set is the live
+    dominators of the first vertex in that order. Returns (n + 1, set())
+    when some undominated vertex has no live dominator.
+    """
+    und, avail = set(und), set(avail)
+    live = {v: closed_neighborhood(g, v) & avail for v in und}
+    if any(not dominators for dominators in live.values()):
+        return g.n + 1, set()
+    order = sorted(und, key=lambda v: (len(live[v]), v))
+    blocked, packed = set(), 0
+    for v in order:
+        if not live[v] & blocked:
+            packed += 1
+            blocked |= live[v]
+    total = sum(
+        Fraction(1, max(len(closed_neighborhood(g, x) & und) for x in live[v])) for v in und
+    )
+    return max(packed, math.ceil(total)), live[order[0]]
+
+
+def brute_residual(g: LabeledGraph, und, avail):
+    """The fewest vertices of avail whose closed neighbourhoods cover und,
+    or None when no subset of avail does."""
+    und, avail = set(und), sorted(avail)
+    for k in range(len(avail) + 1):
+        for subset in itertools.combinations(avail, k):
+            covered = set()
+            for x in subset:
+                covered |= closed_neighborhood(g, x)
+            if und <= covered:
+                return k
+    return None
 
 
 def plain_extension_masks(n: int, connected_only: bool) -> tuple[int, ...]:

@@ -43,8 +43,10 @@ from bruteforce import (
     brute_ct,
     brute_efficient,
     brute_gamma,
+    brute_residual,
     contract_tracked,
     dominates,
+    reference_lower_bound,
     reference_reduce,
 )
 
@@ -433,6 +435,24 @@ class TestBlockerReport:
         assert blocker_report(c6).ct == 3
         assert [h for h in gamma_calls if h.adj == c6.adj] == [c6]
 
+    def test_sets_up_its_graph_once(self, monkeypatch, c6):
+        # the searches of one graph share its two-hop set-up, and the
+        # deciders share its connectivity verdict, both kept with the graph
+        built = {"search_setup": [], "_connected": []}
+        for name, calls in built.items():
+            prop = LabeledGraph.__dict__[name]
+
+            def counted(g, build=prop.func, calls=calls):
+                calls.append(g)
+                return build(g)
+
+            monkeypatch.setattr(prop, "func", counted)
+        for g in (c6, path_graph(4), random_degree23_graph(14, random.Random(3))):
+            for calls in built.values():
+                calls.clear()
+            blocker_report(g)
+            assert built == {"search_setup": [g], "_connected": [g]}
+
     def test_gamma_one_report(self):
         d = blocker_report(star_graph(3)).to_json_dict()
         assert d["gamma"] == 1
@@ -545,6 +565,89 @@ class TestSearchTrees:
         assert optimizer_table.nodes == want["optimizer_nodes"]
         assert enumerator_table.nodes == want["enumerator_nodes"]
         assert found == want["mds"]
+
+
+class TestLowerBound:
+    """lower_bound is the reference bound with its branch set; given a
+    threshold it may stop at the packing, but only once the packing exceeds
+    the threshold, so every comparison with it comes out as before."""
+
+    @staticmethod
+    def random_graphs(max_n):
+        rng = random.Random(max_n)
+        for i in range(60):
+            yield random_connected_graph(4 + i % (max_n - 3), rng)
+            yield random_degree23_graph(8 + i % (max_n - 7), rng)
+
+    @staticmethod
+    def random_states(graphs):
+        rng = random.Random(1109)
+        for g in graphs:
+            for _ in range(10):
+                und = rng.getrandbits(g.n) or 1
+                avail = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+                if rng.random() < 0.3:
+                    avail |= rng.getrandbits(g.n)
+                yield g, und, avail
+
+    @pytest.fixture(scope="class")
+    def searched_states(self):
+        """(graph, und, avail) of every bound the searches of
+        TestSearchTrees' small graphs ask for."""
+        states, asked = [], []
+        bound = domination._Search.lower_bound
+
+        def recorded(search, und, avail, need=None):
+            asked.append((und, avail))
+            return bound(search, und, avail, need)
+
+        domination._Search.lower_bound = recorded
+        try:
+            for name in ("c9", "degree23_n19", "grid_5x8", "p7free_nv4"):
+                g = TestSearchTrees.GRAPHS[name]()
+                gamma, _ = domination._Optimizer(g, None).run()
+                domination._Enumerator(g, gamma, None).visit_all(lambda s: True)
+                states += [(g, und, avail) for und, avail in asked]
+                asked.clear()
+        finally:
+            domination._Search.lower_bound = bound
+        assert len(states) >= 500
+        return states
+
+    def all_states(self, searched_states):
+        builds = [build_subcubic(satisfiable_fixture())[0], build_p7free(gen_3sat(4, 6, 1))[0]]
+        yield from self.random_states(itertools.chain(self.random_graphs(64), builds))
+        yield from searched_states
+
+    def expected(self, g, und, avail):
+        bound, branch = reference_lower_bound(g, domination._bits(und), domination._bits(avail))
+        return bound, TestIncrementalReduce.as_mask(branch)
+
+    def test_matches_reference(self, searched_states):
+        for g, und, avail in self.all_states(searched_states):
+            assert domination._Optimizer(g, None).lower_bound(und, avail) == self.expected(
+                g, und, avail
+            )
+
+    def test_threshold_keeps_every_comparison(self, searched_states):
+        stopped = 0
+        for g, und, avail in self.all_states(searched_states):
+            search = domination._Optimizer(g, None)
+            want, branch = self.expected(g, und, avail)
+            for need in range(want - 2, want + 2):
+                got = search.lower_bound(und, avail, need)
+                assert got[1] == branch
+                assert (got[0] > need) == (want > need)
+                if want <= need:
+                    assert got[0] == want
+                stopped += got[0] != want
+        assert stopped >= 100  # the packing alone decides some comparisons
+
+    def test_never_exceeds_the_residual_optimum(self):
+        for g, und, avail in self.random_states(self.random_graphs(10)):
+            bound, _ = domination._Optimizer(g, None).lower_bound(und, avail)
+            best = brute_residual(g, domination._bits(und), domination._bits(avail))
+            assert bound == g.n + 1 if best is None else bound <= best
 
 
 class TestIncrementalReduce:

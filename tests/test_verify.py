@@ -1,5 +1,6 @@
 import itertools
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -147,10 +148,19 @@ class TestSuites:
         assert text == (Path(__file__).parent / "golden" / "verify_all_n6_seed2024.json").read_text()
 
     def test_clawfree_suite_small(self):
-        verdicts = suite_clawfree(random_instances=1, seed=5)
+        verdicts = suite_clawfree(seed=5)
         assert verdicts and all(v.passed for v in verdicts)
         claims = {v.claim for v in verdicts}
         assert "clawfree-gamma-offset" in claims and "clawfree-structure" in claims
+
+    def test_corpus_frees_each_graph_once_walked(self):
+        # a walked graph keeps its search set-up, so a listing that held
+        # every graph would hold every set-up: 12,113 of them at n = 8
+        walked = []
+        for name, g in verify_mod._corpus(6, 5, (7,), 1):
+            walked.append(weakref.ref(g))
+            assert all(ref() is None for ref in walked[:-1]), name
+        assert len(walked) == 143 + 5
 
     def test_contraction_suite_smallest(self):
         verdicts = run_suite("contraction", max_n=4, random_count=3, seed=1)
@@ -219,7 +229,7 @@ class TestOneBudgetPerRun:
     RUNS = {
         "subcubic": suite_subcubic,
         "contraction": lambda table: suite_contraction(5, 4, 3, table),
-        "p7": lambda table: suite_p7(table, 2),
+        "p7": suite_p7,
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
