@@ -43,7 +43,6 @@ from .domination import (
     is_efficient,
     is_independent,
     one_contraction_decision,
-    one_contraction_definitional,
     visit_minimum_dominating_sets,
 )
 from .cnf import (

@@ -154,19 +154,19 @@ def incidence_connected(num_vars: int, clauses) -> bool:
     return len(seen) == len(adj)
 
 
-def gen_1in3(num_vars: int, seed: int, max_attempts: int = 2000) -> Formula1in3:
+def gen_1in3(num_vars: int, seed: int) -> Formula1in3:
     """Random valid instance: a 3-regular variable/clause incidence with three
     distinct variables per clause and a connected incidence structure.
 
     Deterministic per seed. Uses the configuration model (each variable
     contributes three occurrence slots, shuffled and chunked into clauses)
-    with whole-shuffle rejection of invalid chunkings.
+    with whole-shuffle rejection of invalid chunkings, 2000 shuffles at most.
     """
     if num_vars < 3:
         raise CnfError("need at least 3 variables to form a clause of distinct variables")
     rng = random.Random(seed)
     slots = [x for x in range(1, num_vars + 1) for _ in range(3)]
-    for _ in range(max_attempts):
+    for _ in range(2000):
         rng.shuffle(slots)
         clauses = [tuple(sorted(slots[i : i + 3])) for i in range(0, len(slots), 3)]
         if any(len(set(c)) != 3 for c in clauses):
@@ -177,7 +177,7 @@ def gen_1in3(num_vars: int, seed: int, max_attempts: int = 2000) -> Formula1in3:
         if validate_1in3(f):
             continue
         return f
-    raise CnfError(f"no valid instance found for num_vars={num_vars} after {max_attempts} attempts")
+    raise CnfError(f"no valid instance found for num_vars={num_vars} after 2000 attempts")
 
 
 def gen_3sat(num_vars: int, num_clauses: int, seed: int) -> Formula3Sat:
@@ -265,28 +265,6 @@ def emit_dimacs_cnf(f: Formula1in3 | Formula3Sat) -> str:
     for clause in f.clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")
     return "\n".join(lines) + "\n"
-
-
-# -- JSON mirror ---------------------------------------------------------------------
-
-
-def formula_to_json_dict(f: Formula1in3 | Formula3Sat) -> dict:
-    flavor = "1in3" if isinstance(f, Formula1in3) else "3sat"
-    return {"num_vars": f.num_vars, "clauses": [list(c) for c in f.clauses], "flavor": flavor}
-
-
-def formula_from_json_dict(d: dict) -> Formula1in3 | Formula3Sat:
-    try:
-        flavor = d["flavor"]
-        num_vars = d["num_vars"]
-        clauses = d["clauses"]
-    except (KeyError, TypeError) as exc:
-        raise CnfError(f"formula JSON missing field: {exc}") from exc
-    if flavor == "1in3":
-        return Formula1in3.make(num_vars, clauses)
-    if flavor == "3sat":
-        return Formula3Sat.make(num_vars, clauses)
-    raise CnfError(f"unknown flavor {flavor!r}")
 
 
 # -- bundled fixtures -------------------------------------------------------------------

@@ -92,18 +92,20 @@ neighbourhood masks, so no labeled graph is solved or enumerated twice: not
 the input graph, not a contraction at any depth of ``ct_definitional``, and
 not a graph that two corpus graphs share as a contraction. Only results of
 identical labeled graphs are shared; each kind of question still runs its
-own code path (the contraction oracles compare γ values, the deciders
+own code path (the contraction search compares γ values, the deciders
 enumerate).
 
 ``ct_gamma`` contracts nothing. It reads ct from its characterization:
 the all-independent and all-efficient decisions, which ``blocker_report``
 already holds in the table, and, only when both hold, forced-set solves on
 one optimizer that ask whether a dominating set of γ + 1 vertices can induce
-two edges. Its oracle ``ct_definitional`` searches contraction sequences of
-length at most three on closed masks alone, as ``one_contraction_definitional``
-does for one: ``contract_masks`` puts the merged vertex in the lower
-endpoint's slot, so every order of contracting one edge set gives one tuple,
-and ``GammaTable.solve_masks`` builds a graph from a tuple only when the table
+two edges. ``ct_definitional`` is the one contraction search, the oracle of
+``ct_gamma`` and, through ct = 1, of ``one_contraction_decision``. It
+searches contraction sequences of length at most three on closed masks
+alone and returns the first sequence that lowers γ, so its answer can be
+replayed: ``contract_masks`` puts the merged vertex in the lower endpoint's
+slot, so every order of contracting one edge set gives one tuple, and
+``GammaTable.solve_masks`` builds a graph from a tuple only when the table
 lacks it. The search therefore solves each contracted edge set once.
 """
 
@@ -710,21 +712,6 @@ def one_contraction_decision(g: LabeledGraph, table: Optional[GammaTable] = None
     return Decision(True, edge)
 
 
-def one_contraction_definitional(
-    g: LabeledGraph, table: Optional[GammaTable] = None
-) -> Decision:
-    """Ground-truth oracle: contract each edge in turn and compare gammas."""
-    if not g.is_connected():
-        raise GraphError("contraction decision requires a connected graph")
-    table = GammaTable() if table is None else table
-    gamma = table.solve(g).gamma
-    masks = g.closed_masks
-    for u, v in g.edges():
-        if table.solve_masks(contract_masks(masks, u, v)).gamma < gamma:
-            return Decision(True, (u, v))
-    return Decision(False)
-
-
 def _edges(masks: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     """Edges (u, v), u < v, of the graph with closed neighbourhoods
     ``masks``, in lexicographic order."""
@@ -736,12 +723,18 @@ def _edges(masks: tuple[int, ...]) -> Iterator[tuple[int, int]]:
             higher ^= low
 
 
-def ct_definitional(g: LabeledGraph, table: Optional[GammaTable] = None) -> int | str:
-    """Ground-truth oracle for ``ct_gamma``: the least k <= 3 such that some
-    k contractions lower gamma, found by contracting every edge of every
-    graph on a level and comparing gammas.
+def ct_definitional(
+    g: LabeledGraph, table: Optional[GammaTable] = None
+) -> tuple[int | str, tuple[tuple[int, int], ...]]:
+    """Ground-truth oracle for ``ct_gamma`` and, through k = 1, for
+    ``one_contraction_decision``: the least k <= 3 such that some k
+    contractions lower gamma, found by contracting every edge of every graph
+    on a level and comparing gammas.
 
-    Returns CT_IMPOSSIBLE when gamma(g) = 1 (no contraction sequence can ever
+    Returns (k, edges): contracting the k edges in turn lowers gamma. Each
+    edge (u, v), u < v, names vertices of the graph the earlier contractions
+    left, numbered as ``contract_masks`` numbers them. Returns
+    (CT_IMPOSSIBLE, ()) when gamma(g) = 1 (no contraction sequence can ever
     help) or when no sequence of at most three succeeds.
     """
     if not g.is_connected():
@@ -749,25 +742,26 @@ def ct_definitional(g: LabeledGraph, table: Optional[GammaTable] = None) -> int 
     table = GammaTable() if table is None else table
     gamma = table.solve(g).gamma
     if gamma == 1:
-        return CT_IMPOSSIBLE
-    level = {g.closed_masks: None}
+        return CT_IMPOSSIBLE, ()
+    level = {g.closed_masks: ()}
     for k in (1, 2, 3):
         # next_level holds each graph k contractions make once, as its closed
-        # masks: every order of contracting one edge set gives one tuple
-        # (``contract_masks``). γ is asked by the tuple, so a graph is built
-        # only for a tuple the table lacks
-        next_level: dict[tuple[int, ...], None] = {}
-        for masks in level:
+        # masks, with the first edge sequence that made it: every order of
+        # contracting one edge set gives one tuple (``contract_masks``). γ is
+        # asked by the tuple, so a graph is built only for a tuple the table
+        # lacks
+        next_level: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+        for masks, sequence in level.items():
             for u, v in _edges(masks):
                 contracted = contract_masks(masks, u, v)
                 if contracted in next_level:
                     continue
                 if table.solve_masks(contracted).gamma < gamma:
-                    return k
+                    return k, sequence + ((u, v),)
                 if k < 3:
-                    next_level[contracted] = None
+                    next_level[contracted] = sequence + ((u, v),)
         level = next_level
-    return CT_IMPOSSIBLE
+    return CT_IMPOSSIBLE, ()
 
 
 def _two_edges_dominate(g: LabeledGraph, gamma: int, table: GammaTable) -> bool:

@@ -162,8 +162,9 @@ def connected_graphs_upto(max_n: int) -> list[LabeledGraph]:
     return out
 
 
-def random_connected_graph(n: int, rng: random.Random, extra_edge_prob: float = 0.25) -> LabeledGraph:
-    """Random connected graph: a random spanning tree plus random extra edges."""
+def random_connected_graph(n: int, rng: random.Random) -> LabeledGraph:
+    """Random connected graph: a random spanning tree plus each other pair as
+    an edge with probability 1/4."""
     if n < 1:
         raise GraphError("need at least one vertex")
     edges = set()
@@ -173,20 +174,20 @@ def random_connected_graph(n: int, rng: random.Random, extra_edge_prob: float = 
         attach = order[rng.randrange(i)]
         edges.add(tuple(sorted((order[i], attach))))
     for pair in itertools.combinations(range(n), 2):
-        if pair not in edges and rng.random() < extra_edge_prob:
+        if pair not in edges and rng.random() < 0.25:
             edges.add(pair)
     return LabeledGraph.from_edges(n, sorted(edges))
 
 
-def random_degree23_graph(n: int, rng: random.Random, max_chords: int = 3) -> LabeledGraph:
+def random_degree23_graph(n: int, rng: random.Random) -> LabeledGraph:
     """Random connected graph with every degree in {2,3}: a cycle plus up to
-    max_chords disjoint chords between non-adjacent vertices."""
+    three disjoint chords between non-adjacent vertices."""
     if n < 4:
         raise GraphError("need at least 4 vertices for a chorded cycle")
     edges = {(i, (i + 1) % n) for i in range(n)}
     edges = {tuple(sorted(e)) for e in edges}
     degree = {v: 2 for v in range(n)}
-    wanted = rng.randrange(0, max_chords + 1)
+    wanted = rng.randrange(0, 4)
     attempts = 0
     added = 0
     while added < wanted and attempts < 200:

@@ -2,11 +2,12 @@
 oracles, with machine-readable verdicts.
 
 Each check compares two independently computed sides (brute-force formula
-satisfiability vs. exact domination numbers, definitional edge-contraction
-oracles vs. the characterization through non-independent minimum dominating
-sets, structural recognizers vs. construction intent). A verdict is "pass",
-"fail" (with a re-checkable counterexample payload), or "skipped" when the
-node budget ran out; failures are never silently truncated.
+satisfiability vs. exact domination numbers, the definitional
+edge-contraction search vs. the characterizations through minimum
+dominating sets, structural recognizers vs. construction intent). A verdict
+is "pass", "fail" (with a re-checkable counterexample payload), or
+"skipped" when the node budget ran out; failures are never silently
+truncated.
 
 Every claim and suite takes the run's ``GammaTable`` as its ``table`` (and
 makes an unbudgeted one when it is absent), so the table's node budget bounds
@@ -21,22 +22,29 @@ once, and the ``subcubic`` suite's two claims of a formula share γ. The
 characterization and the negated all-independent decider read one
 enumeration, so the decider's witness is checked by set predicates as well;
 the definitional contract-and-compare oracle stays independent of it, and
-brute-force satisfiability stays independent of every γ. The
-``three-contractions-suffice`` claim compares ``ct_gamma``, which reads ct
-from the deciders and forced-set solves (its characterization), with
-``ct_definitional``, the contraction search; the characterization answers 1,
-2 or 3 by construction, so the search is what the claim checks. Both
-contraction oracles contract closed masks (``contract_masks``) and ask the
-table by the tuple, so a contraction that the table has solved is never
-rebuilt. Without
-a budget each claim keeps the verdict it has when it runs alone: its first
-failure, with the same counts and details.
+brute-force satisfiability stays independent of every γ.
+
+``ct_definitional`` is the one contraction search, and both corpus claims
+ask it: ``contraction-equivalences`` reads whether one contraction lowers γ
+as ct = 1, and ``three-contractions-suffice`` compares it with ``ct_gamma``,
+which reads ct from the deciders and forced-set solves (its
+characterization). The characterization answers 1, 2 or 3 by construction,
+so the search is what the claim checks, and its answer is a certificate:
+the claim replays the search's edge sequence with ``contract_masks`` and
+fails unless γ drops. The search contracts closed masks and asks the table
+by the tuple, so a contraction that the table has solved is never rebuilt,
+and the replay is a table hit. Without a budget each claim keeps the
+verdict it has when it runs alone: its first failure, with the same counts
+and details.
 
 The ``subcubic`` suite checks the isolated variable gadget and both claims
-on the two bundled formulas. Every valid formula on three or four variables
-is one of them up to clause order: at three variables the only clause is
-(1,2,3), and at four each clause leaves out a different variable. So random
-formulas of those sizes would only check the same two again.
+on the two bundled formulas; the γ claim also checks its witness against
+every gadget's floor (``check_subcubic_gadget_bounds``), as the
+``clawfree-gamma-offset`` claim checks its witness against the replacement
+gadgets' bounds. Every valid formula on three or four variables is one of
+them up to clause order: at three variables the only clause is (1,2,3), and
+at four each clause leaves out a different variable. So random formulas of
+those sizes would only check the same two again.
 
 ``run_suite`` is the one way into the suites. It hands each suite only the
 options that suite takes, runs "all" in name order on one table, and looks
@@ -49,7 +57,7 @@ import inspect
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import reductions
 from .cnf import (
@@ -71,7 +79,6 @@ from .domination import (
     is_dominating,
     is_efficient,
     one_contraction_decision,
-    one_contraction_definitional,
     CT_IMPOSSIBLE,
 )
 from .graphs import (
@@ -126,25 +133,28 @@ def _table(table: Optional[GammaTable]) -> GammaTable:
 
 
 def verify_subcubic_gamma(f: Formula1in3, table: Optional[GammaTable] = None) -> ClaimVerdict:
-    """Satisfiability (brute force) iff gamma equals the floor 3|X| + |C|."""
+    """Satisfiability (brute force) iff gamma equals the floor 3|X| + |C|, and
+    the γ witness meets every gadget's floor."""
     claim = "subcubic-gamma-iff-sat"
     instance = f"1in3 formula |X|={f.num_vars} clauses={list(f.clauses)}"
     assignment = solve_1in3_brute(f)
     g, rmap = reductions.build_subcubic(f)
     hint = reductions.assignment_to_mds_subcubic(rmap, assignment) if assignment else None
     try:
-        gamma = _table(table).solve(g, hint).gamma
+        result = _table(table).solve(g, hint)
     except BudgetExceeded as exc:
         return _skipped(claim, instance, exc)
+    gamma = result.gamma
     target = rmap.expected_gamma()
     sat = assignment is not None
-    ok = sat == (gamma == target) and gamma >= target
+    problems = check_subcubic_gadget_bounds(rmap, result.witness)
+    ok = sat == (gamma == target) and gamma >= target and not problems
     return _verdict(
         claim,
         instance,
         ok,
         f"sat={sat} gamma={gamma} target={target}",
-        {"gamma": gamma, "target": target, "sat": sat},
+        {"gamma": gamma, "target": target, "sat": sat, "witness_problems": problems},
     )
 
 
@@ -363,14 +373,14 @@ def verify_triangle_construction(
 
 
 def _equivalences(claim, name, g, table) -> Optional[ClaimVerdict]:
-    """The definitional contract-and-compare oracle, the
-    non-independent-MDS characterization and the negated all-independent
-    decider agree on g, and the characterization's witness edge lowers
-    gamma. The last two read one enumeration, so the decider's witness is
-    also checked by set predicates: it dominates, has gamma members and
-    holds the witness edge. None when g passes."""
+    """The contraction search (ct = 1), the non-independent-MDS
+    characterization and the negated all-independent decider agree on g,
+    and the characterization's witness edge lowers gamma. The last two read
+    one enumeration, so the decider's witness is also checked by set
+    predicates: it dominates, has gamma members and holds the witness edge.
+    None when g passes."""
     try:
-        definitional = one_contraction_definitional(g, table)
+        definitional = ct_definitional(g, table)[0] == 1
         characterized = one_contraction_decision(g, table)
         independent = all_independent_md(g, table)
         gamma = table.solve(g).gamma
@@ -383,7 +393,7 @@ def _equivalences(claim, name, g, table) -> Optional[ClaimVerdict]:
             )
     except BudgetExceeded as exc:
         return _skipped(claim, name, exc)
-    agree = definitional.holds == characterized.holds == (not independent.holds)
+    agree = definitional == characterized.holds == (not independent.holds)
     if not independent.holds:
         members = independent.witness
         witness_ok = (
@@ -402,7 +412,7 @@ def _equivalences(claim, name, g, table) -> Optional[ClaimVerdict]:
         False,
         "oracle disagreement",
         {
-            "definitional": definitional.holds,
+            "definitional": definitional,
             "characterized": characterized.holds,
             "all_independent": independent.holds,
             "witness_ok": witness_ok,
@@ -411,25 +421,48 @@ def _equivalences(claim, name, g, table) -> Optional[ClaimVerdict]:
     )
 
 
+def _replay(masks: tuple[int, ...], edges) -> Optional[tuple[int, ...]]:
+    """The closed masks left by contracting edges in turn, or None when one
+    of them is not an edge (u, v), u < v, of the graph it is contracted in."""
+    for u, v in edges:
+        if not (u < v < len(masks) and masks[u] >> v & 1):
+            return None
+        masks = contract_masks(masks, u, v)
+    return masks
+
+
 def _bound(claim, name, g, table) -> Optional[ClaimVerdict]:
     """ct_gamma (the characterization) equals ct_definitional (the
-    contraction search) on g, and the value is in 1..3 when gamma >= 2 and
-    CT_IMPOSSIBLE at gamma = 1. None when g passes."""
+    contraction search) on g, the value is in 1..3 when gamma >= 2 and
+    CT_IMPOSSIBLE at gamma = 1, and the search's edge sequence has ct edges
+    and, replayed, lowers gamma (it is empty when ct is CT_IMPOSSIBLE). None
+    when g passes."""
     try:
         gamma = table.solve(g).gamma
         ct = ct_gamma(g, table)
-        definitional = ct_definitional(g, table)
+        definitional, edges = ct_definitional(g, table)
+        masks = _replay(g.closed_masks, edges)
+        lowered = masks is not None and table.solve_masks(masks).gamma < gamma
     except BudgetExceeded as exc:
         return _skipped(claim, name, exc)
     valid = ct == CT_IMPOSSIBLE if gamma == 1 else ct in (1, 2, 3)
-    if valid and ct == definitional:
+    if definitional == CT_IMPOSSIBLE:
+        certified = not edges
+    else:
+        certified = lowered and len(edges) == definitional
+    if valid and ct == definitional and certified:
         return None
     return _verdict(
         claim,
         name,
         False,
-        f"gamma={gamma} ct={ct} ct_definitional={definitional}",
-        {"edges": g.edges(), "ct": ct, "ct_definitional": definitional},
+        f"gamma={gamma} ct={ct} ct_definitional={definitional} sequence_lowers={lowered}",
+        {
+            "edges": g.edges(),
+            "ct": ct,
+            "ct_definitional": definitional,
+            "sequence": [list(edge) for edge in edges],
+        },
     )
 
 
@@ -459,24 +492,6 @@ def _corpus_verdicts(graphs, table, claims) -> list[ClaimVerdict]:
             count = checked[i]
             verdicts[i] = _verdict(claim, f"{count} connected graphs", True, f"{count} graphs {word}")
     return verdicts
-
-
-def verify_contraction_equivalences(
-    graphs: Iterable[tuple[str, LabeledGraph]], table: Optional[GammaTable] = None
-) -> ClaimVerdict:
-    """For every connected corpus graph, the definitional contract-and-compare
-    oracle, the non-independent-MDS characterization, and the negated
-    all-independent decider must agree."""
-    return _corpus_verdicts(graphs, table, [_EQUIVALENCES])[0]
-
-
-def verify_contraction_bound(
-    graphs: Iterable[tuple[str, LabeledGraph]], table: Optional[GammaTable] = None
-) -> ClaimVerdict:
-    """Connected graphs with gamma >= 2 always admit a gamma-decreasing
-    sequence of at most three contractions, and the characterization's
-    ct_gamma is the least length the contraction search finds."""
-    return _corpus_verdicts(graphs, table, [_BOUND])[0]
 
 
 # -- suites -----------------------------------------------------------------------------
@@ -537,13 +552,13 @@ def suite_clawfree(seed: int = 2024, table: Optional[GammaTable] = None) -> list
     return verdicts
 
 
-def all_three_var_formulas(max_clauses: int = 4) -> list[Formula3Sat]:
-    """Every 3-SAT formula on exactly the variables {1,2,3} with at most
-    max_clauses distinct clauses (all clauses use all three variables)."""
+def all_three_var_formulas() -> list[Formula3Sat]:
+    """Every 3-SAT formula on exactly the variables {1,2,3} with at most four
+    distinct clauses (all clauses use all three variables)."""
     signs = list(itertools.product((1, -1), repeat=3))
     pool = [tuple(s * v for s, v in zip(pattern, (1, 2, 3))) for pattern in signs]
     formulas = []
-    for k in range(1, max_clauses + 1):
+    for k in range(1, 5):
         for combo in itertools.combinations(pool, k):
             formulas.append(Formula3Sat.make(3, combo))
     return formulas

@@ -18,7 +18,6 @@ from domblocker import (
     validate_1in3,
     validate_3sat,
 )
-from domblocker.cnf import formula_from_json_dict, formula_to_json_dict
 
 
 def naive_one_in_three(f: Formula1in3):
@@ -158,17 +157,3 @@ class TestDimacs:
     def test_multiline_clause(self):
         f = parse_dimacs_cnf("p cnf 3 1\n1 2\n3 0\n")
         assert f.clauses == ((1, 2, 3),)
-
-
-class TestJsonMirror:
-    def test_round_trip_both_flavors(self):
-        for f in (satisfiable_fixture(), gen_3sat(4, 4, 1)):
-            assert formula_from_json_dict(formula_to_json_dict(f)) == f
-
-    def test_flavor_tag(self):
-        assert formula_to_json_dict(satisfiable_fixture())["flavor"] == "1in3"
-        assert formula_to_json_dict(gen_3sat(3, 2, 0))["flavor"] == "3sat"
-
-    def test_unknown_flavor(self):
-        with pytest.raises(CnfError):
-            formula_from_json_dict({"flavor": "2sat", "num_vars": 3, "clauses": []})

@@ -27,7 +27,6 @@ from domblocker import (
     is_efficient,
     is_independent,
     one_contraction_decision,
-    one_contraction_definitional,
     parse_graph6,
     path_graph,
     star_graph,
@@ -48,6 +47,7 @@ from bruteforce import (
     dominates,
     reference_lower_bound,
     reference_reduce,
+    set_contraction,
 )
 
 
@@ -56,6 +56,20 @@ SEARCH_TREES = Path(__file__).parent / "golden" / "search_trees.json"
 
 def connected_random(rng, n):
     return random_connected_graph(n, rng)
+
+
+def assert_sequence_lowers_gamma(g, ct, edges):
+    """edges, contracted in turn with ``set_contraction``, are ct edges that
+    lower brute-force γ; none when ct is CT_IMPOSSIBLE."""
+    if ct == CT_IMPOSSIBLE:
+        assert edges == ()
+        return
+    assert len(edges) == ct
+    h = g
+    for u, v in edges:
+        assert u < v and v in h.adj[u]
+        h = set_contraction(h, u, v)
+    assert brute_gamma(h) < brute_gamma(g)
 
 
 def grid_graph(rows, cols):
@@ -285,7 +299,7 @@ class TestOneContraction:
 
     def test_c6_no(self, c6):
         assert not one_contraction_decision(c6).holds
-        assert not one_contraction_definitional(c6).holds
+        assert ct_definitional(c6)[0] != 1
 
     def test_gamma_one_is_always_no(self):
         for g in (complete_graph(4), star_graph(3)):
@@ -296,11 +310,12 @@ class TestOneContraction:
         assert gamma_calls == [p4]
 
     def test_definitional_p4(self, p4):
-        decision = one_contraction_definitional(p4)
-        assert decision.holds
+        ct, edges = ct_definitional(p4)
+        assert ct == 1
+        assert domination_number(p4.contract_edge(*edges[0])).gamma == 1
 
     def test_c9_no_by_oracle(self, c9):
-        assert not one_contraction_definitional(c9).holds
+        assert ct_definitional(c9)[0] != 1
         assert not one_contraction_decision(c9).holds
 
     def test_connected_required(self):
@@ -308,12 +323,12 @@ class TestOneContraction:
         with pytest.raises(GraphError):
             one_contraction_decision(g)
         with pytest.raises(GraphError):
-            one_contraction_definitional(g)
+            ct_definitional(g)
 
     def test_oracle_equivalence_small(self, small_connected_corpus):
         for g in small_connected_corpus:
             a = one_contraction_decision(g).holds
-            b = one_contraction_definitional(g).holds
+            b = ct_definitional(g)[0] == 1
             c = not all_independent_md(g).holds
             assert a == b == c
 
@@ -323,7 +338,7 @@ class TestOneContraction:
 
         for g in connected_graphs(7):
             a = one_contraction_decision(g).holds
-            b = one_contraction_definitional(g).holds
+            b = ct_definitional(g)[0] == 1
             c = not all_independent_md(g).holds
             assert a == b == c
 
@@ -354,17 +369,25 @@ class TestCtGamma:
                 assert ct in (1, 2, 3)
 
     def test_ct_value_matches_definitional_level(self, small_connected_corpus):
-        # ct == 1 exactly when the single-contraction oracle says yes
+        # ct == 1 exactly when some single contraction lowers brute-force γ,
+        # and the search's one edge is such a contraction
         for g in small_connected_corpus:
-            if domination_number(g).gamma == 1:
+            gamma = brute_gamma(g)
+            if gamma == 1:
                 continue
-            assert (ct_gamma(g) == 1) == one_contraction_definitional(g).holds
+            one = any(brute_gamma(set_contraction(g, u, v)) < gamma for u, v in g.edges())
+            ct, edges = ct_definitional(g)
+            assert (ct_gamma(g) == 1) == (ct == 1) == one
+            if one:
+                assert_sequence_lowers_gamma(g, ct, edges)
 
     def test_matches_sequence_bfs_on_small_corpus(self, small_connected_corpus):
         for g in small_connected_corpus:
             want = brute_ct(g) or CT_IMPOSSIBLE
             assert ct_gamma(g) == want
-            assert ct_definitional(g) == want
+            ct, edges = ct_definitional(g)
+            assert ct == want
+            assert_sequence_lowers_gamma(g, ct, edges)
 
     def test_matches_sequence_bfs_on_degree23_graphs(self):
         rng = random.Random(8)
@@ -372,7 +395,9 @@ class TestCtGamma:
             g = random_degree23_graph(rng.randrange(6, 11), rng)
             want = brute_ct(g) or CT_IMPOSSIBLE
             assert ct_gamma(g) == want
-            assert ct_definitional(g) == want
+            ct, edges = ct_definitional(g)
+            assert ct == want
+            assert_sequence_lowers_gamma(g, ct, edges)
 
     def test_gamma_plus_one_clause(self):
         # every MDS of both graphs is independent and efficient, so the γ + 1
@@ -382,7 +407,7 @@ class TestCtGamma:
         for g, ct in ((parse_graph6("EsWO"), 2), (path_graph(6), 3)):
             assert domination_number(g).gamma == 2
             assert all_independent_md(g).holds and all_efficient_md(g).holds
-            assert ct_gamma(g) == ct_definitional(g) == brute_ct(g) == ct
+            assert ct_gamma(g) == ct_definitional(g)[0] == brute_ct(g) == ct
 
     def test_each_quotient_solved_once(self, gamma_calls, c6):
         # every graph at most three contractions make from C6, by edge set
@@ -393,7 +418,7 @@ class TestCtGamma:
                 for a, b in edge_set:
                     h, where = contract_tracked(h, where, a, b)
                 quotients.add(h.closed_masks)
-        assert ct_definitional(c6) == 3
+        assert ct_definitional(c6)[0] == 3
         solved = [h.closed_masks for h in gamma_calls]
         assert solved[0] == c6.closed_masks
         assert len(set(solved)) == len(solved)
@@ -524,14 +549,17 @@ class TestGammaTable:
         nodes = table.nodes
         assert table.solve_masks(masks) is first
         assert table.nodes == nodes and built == [masks] and len(gamma_calls) == 1
-        # C6 has γ = 2 and no edge lowers it, so the one-contraction oracle
-        # and the first level of ct_definitional both contract every edge;
-        # ct_definitional builds only what the first left unsolved
-        assert not one_contraction_definitional(c6, table=table).holds
-        single = len(built)
-        assert ct_definitional(c6, table=table) == 3
-        assert len(built) == len(gamma_calls) - 1  # all but C6 itself
-        assert not set(built[single:]) & set(built[:single])
+        # C6 has γ = 2 and no edge lowers it, so level 1 of ct_definitional
+        # contracts every edge: each of those graphs is built once, as is
+        # every graph of the later levels, and asking again builds nothing
+        answer = ct_definitional(c6, table=table)
+        assert answer[0] == 3
+        level1 = {contract_masks(c6.closed_masks, u, v) for u, v in c6.edges()}
+        assert level1 <= set(built)
+        assert len(built) == len(set(built)) == len(gamma_calls) - 1  # all but C6 itself
+        searched = len(built)
+        assert ct_definitional(c6, table=table) == answer
+        assert len(built) == searched
 
 
 class TestSearchTrees:

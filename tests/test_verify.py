@@ -17,7 +17,7 @@ from domblocker import (
     unsatisfiable_fixture,
     validate_1in3,
 )
-from domblocker.reductions import build_p7free
+from domblocker.reductions import build_p7free, build_subcubic
 from domblocker.verify import (
     ClaimVerdict,
     all_three_var_formulas,
@@ -28,13 +28,13 @@ from domblocker.verify import (
     suite_p7,
     suite_subcubic,
     verify_clawfree_offset,
-    verify_contraction_bound,
-    verify_contraction_equivalences,
     verify_nine_cycle_gadget,
     verify_subcubic_efficiency,
     verify_subcubic_gamma,
     verify_triangle_construction,
 )
+
+from bruteforce import brute_gamma, set_contraction
 
 
 class TestIndividualChecks:
@@ -57,15 +57,17 @@ class TestIndividualChecks:
         assert verify_clawfree_offset(cycle_graph(6), "C6").passed
 
     def test_triangle_construction_cases(self):
-        formulas = all_three_var_formulas(max_clauses=1)
+        formulas = [f for f in all_three_var_formulas() if len(f.clauses) == 1]
+        assert len(formulas) == 8
         for f in formulas:
             assert verify_triangle_construction(f).passed
         assert verify_triangle_construction(eight_pattern_formula()).passed
 
     def test_contraction_checks_tiny_corpus(self):
         corpus = [("P4", path_graph(4)), ("C6", cycle_graph(6)), ("C4", cycle_graph(4))]
-        assert verify_contraction_equivalences(corpus).passed
-        assert verify_contraction_bound(corpus).passed
+        claims = [verify_mod._EQUIVALENCES, verify_mod._BOUND]
+        verdicts = verify_mod._corpus_verdicts(corpus, None, claims)
+        assert [v.status for v in verdicts] == ["pass", "pass"]
 
 
 class TestFailurePlumbing:
@@ -83,6 +85,26 @@ class TestFailurePlumbing:
         assert verdict.status == "fail"
         assert verdict.counterexample is not None
         assert verdict.counterexample["gamma"] != verdict.counterexample["target"]
+
+    def test_gamma_witness_is_checked_against_the_gadget_floors(self, monkeypatch):
+        from domblocker import domination
+
+        real = domination.domination_number
+        f = satisfiable_fixture()
+        gadget = build_subcubic(f)[1].gadget_vertices(1)
+
+        def thin(g, table=None, hint=None):
+            # the right γ, but a witness with no member in variable gadget 1
+            result = real(g, table, hint=hint)
+            return type(result)(result.gamma, result.witness - gadget)
+
+        monkeypatch.setattr(domination, "domination_number", thin)
+        verdict = verify_subcubic_gamma(f)
+        assert verdict.status == "fail"
+        assert verdict.detail == "sat=True gamma=12 target=12"
+        assert verdict.counterexample["witness_problems"][0] == (
+            "variable gadget 1 holds 0 < 3 members"
+        )
 
     def test_budget_gives_skipped_not_fail(self):
         verdict = verify_subcubic_gamma(unsatisfiable_fixture(), GammaTable(budget=1))
@@ -179,7 +201,8 @@ class TestContractionSinglePass:
     def suite_and_alone(self):
         suite = suite_contraction(self.MAX_N, self.RANDOM_COUNT, self.SEED)
         corpus = self.corpus()
-        alone = [verify_contraction_equivalences(corpus), verify_contraction_bound(corpus)]
+        claims = [verify_mod._EQUIVALENCES, verify_mod._BOUND]
+        alone = [verify_mod._corpus_verdicts(corpus, None, [claim])[0] for claim in claims]
         return [v.to_json_dict() for v in suite], [v.to_json_dict() for v in alone]
 
     @pytest.mark.parametrize(
@@ -187,7 +210,7 @@ class TestContractionSinglePass:
         [
             ("all_independent_md", lambda d: Decision(not d.holds, d.witness)),
             ("ct_gamma", lambda ct: 4),
-            ("ct_definitional", lambda ct: 4),
+            ("ct_definitional", lambda answer: (4, answer[1])),
         ],
     )
     def test_lying_decider_fails_its_claim_only(self, monkeypatch, decider, lie):
@@ -204,6 +227,32 @@ class TestContractionSinglePass:
         assert [v["status"] for v in suite].count("fail") == 1
         failed = next(v for v in suite if v["status"] == "fail")
         assert failed["instance"] == name and failed["counterexample"]
+
+    def test_lying_sequence_fails_the_bound_only(self, monkeypatch):
+        # the search answers ct = 1 with an edge whose contraction keeps γ
+        real = verify_mod.ct_definitional
+
+        def keeps_gamma(g, u, v):
+            return brute_gamma(set_contraction(g, u, v)) == brute_gamma(g)
+
+        name, target, edge = next(
+            (name, g, edge)
+            for name, g in self.corpus()
+            if real(g)[0] == 1
+            for edge in g.edges()
+            if keeps_gamma(g, *edge)
+        )
+
+        def lying(g, *args, **kwargs):
+            answer = real(g, *args, **kwargs)
+            return (1, (edge,)) if g.adj == target.adj else answer
+
+        monkeypatch.setattr(verify_mod, "ct_definitional", lying)
+        suite, alone = self.suite_and_alone()
+        assert suite == alone
+        assert [v["status"] for v in suite] == ["pass", "fail"]
+        assert suite[1]["instance"] == name
+        assert suite[1]["counterexample"]["sequence"] == [list(edge)]
 
     def test_decider_witness_is_checked_by_set_predicates(self, monkeypatch):
         real = verify_mod.all_independent_md
