@@ -9,9 +9,7 @@ Machine output is JSON; exit codes: 0 success/pass, 1 fail or counterexample,
 from __future__ import annotations
 
 import json
-import os
 import sys
-from typing import Optional
 
 import click
 
@@ -39,24 +37,12 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-
-def _default_budget() -> Optional[int]:
-    raw = os.environ.get("DOMBLOCKER_BUDGET")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise click.UsageError(f"DOMBLOCKER_BUDGET must be an integer, got {raw!r}")
-    if value <= 0:
-        raise click.UsageError(f"DOMBLOCKER_BUDGET must be positive, got {value}")
-    return value
-
-
-def _validate_budget(ctx, param, value):
-    if value is not None and value <= 0:
-        raise click.BadParameter("budget must be positive")
-    return value
+_budget_option = click.option(
+    "--budget",
+    type=click.IntRange(min=1),
+    envvar="DOMBLOCKER_BUDGET",
+    help="Search-node budget of the whole command (default: DOMBLOCKER_BUDGET).",
+)
 
 
 def _read_text(path: str) -> str:
@@ -182,12 +168,12 @@ def cmd_build(target, input_path, fmt, output, dot_path, g6_path, map_path):
     default="blocker",
     show_default=True,
 )
-@click.option("--budget", type=int, default=None, callback=_validate_budget, help="Search-node budget of the whole command (default: DOMBLOCKER_BUDGET).")
+@_budget_option
 @click.option("-o", "--output", default="-", show_default=True)
 def cmd_solve(input_path, fmt, what, budget, output):
     """Solve domination/blocker questions for a graph, reporting JSON."""
     g = _read_graph(input_path, fmt)
-    table = GammaTable(budget if budget is not None else _default_budget())
+    table = GammaTable(budget)
     try:
         if what == "gamma":
             result = domination_number(g, table)
@@ -234,11 +220,11 @@ def cmd_solve(input_path, fmt, what, budget, output):
 )
 @click.option("--random-count", type=int, default=200, show_default=True, help="Random corpus size (contraction suite).")
 @click.option("--seed", type=int, default=2024, show_default=True)
-@click.option("--budget", type=int, default=None, callback=_validate_budget, help="Search-node budget of the whole command (default: DOMBLOCKER_BUDGET).")
+@_budget_option
 @click.option("-o", "--output", default="-", show_default=True)
 def cmd_verify(suite, max_n, random_count, seed, budget, output):
     """Run a verification suite; exit 0 only if every check passes."""
-    table = GammaTable(budget if budget is not None else _default_budget())
+    table = GammaTable(budget)
     verdicts = [
         v.to_json_dict() for v in verify.run_suite(suite, max_n, random_count, seed, table)
     ]

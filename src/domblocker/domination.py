@@ -473,21 +473,12 @@ class _Optimizer(_Search):
                     best = candidate
         return best
 
-    def run(self, hint: Optional[frozenset[int]] = None) -> tuple[int, frozenset[int]]:
+    def run(self) -> tuple[int, frozenset[int]]:
         greedy = self.greedy_cover()
         best_size = len(greedy)
         best_mask = 0
         for v in greedy:
             best_mask |= 1 << v
-        if hint is not None and len(hint) < best_size:
-            covered = 0
-            for v in hint:
-                covered |= self.nb[v]
-            if covered == self.full:
-                best_size = len(hint)
-                best_mask = 0
-                for v in hint:
-                    best_mask |= 1 << v
         improved = self.min_dominating(self.full, self.full, best_size - 1)
         if improved is not None:
             best_size, best_mask = improved
@@ -548,21 +539,17 @@ class _Enumerator(_Search):
 # -- public operations ---------------------------------------------------------
 
 
-def domination_number(
-    g: LabeledGraph,
-    table: Optional[GammaTable] = None,
-    hint: Optional[frozenset[int]] = None,
-) -> GammaResult:
+def domination_number(g: LabeledGraph, table: Optional[GammaTable] = None) -> GammaResult:
     """Exact domination number with a witness minimum dominating set.
 
-    The search counts its nodes against ``table`` and stores nothing in it
-    (``GammaTable.solve`` is the stored way to ask). ``hint`` may carry a
-    known dominating set used as the initial upper bound; optimality is
-    proved by the search either way. Connectivity not required.
+    The search starts from the greedy cover, counts its nodes against
+    ``table`` and stores nothing in it (``GammaTable.solve`` is the stored
+    way to ask). The witness depends on the labeled graph alone.
+    Connectivity not required.
     """
     if g.n == 0:
         raise GraphError("domination number of the empty graph is undefined")
-    size, witness = _Optimizer(g, table).run(hint)
+    size, witness = _Optimizer(g, table).run()
     return GammaResult(size, witness)
 
 
@@ -581,10 +568,9 @@ class GammaTable:
     graph itself; labels play no part. A miss of ``solve`` calls this module's
     ``domination_number`` (looked up at call time) and stores what it
     returns; a miss of ``decide`` runs the enumeration. A ``BudgetExceeded``
-    passes through and nothing is stored. A hit costs no search nodes.
-    ``hint`` only seeds a miss: a hit returns the stored result whatever
-    hint solved it, with the same γ and possibly another witness.
-    ``solve_masks`` asks by the key itself, so the contraction searches
+    passes through and nothing is stored. A hit costs no search nodes and
+    returns what a miss would: the witness depends on the graph alone, not
+    on which caller asked first. ``solve_masks`` asks by the key itself, so the contraction searches
     keep no graphs: a hit builds none, and a miss builds one with ``PLAIN``
     labels only to solve it.
     """
@@ -604,12 +590,12 @@ class GammaTable:
             self.nodes = self.budget + 1
             raise BudgetExceeded(self.nodes)
 
-    def solve(self, g: LabeledGraph, hint: Optional[frozenset[int]] = None) -> GammaResult:
+    def solve(self, g: LabeledGraph) -> GammaResult:
         """γ of g with a witness, solved at most once per adjacency."""
         key = g.closed_masks
         result = self._results.get(key)
         if result is None:
-            result = domination_number(g, self, hint)
+            result = domination_number(g, self)
             result = self._results[key] = self._shared.setdefault(result, result)
         return result
 

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 
 @dataclass(frozen=True)
@@ -350,51 +350,46 @@ def is_claw_free(g: LabeledGraph) -> bool:
 class InducedPathResult:
     """Outcome of an induced-path search.
 
-    status: "free" (no induced path on k vertices), "found" (witness holds the
-    path, in order), or "budget_exceeded" (undecided; never a wrong answer).
+    status: "free" (no induced path on k vertices) or "found" (witness holds
+    the path, in order).
     """
 
     status: str
     witness: Optional[tuple[int, ...]] = None
-    nodes: int = 0
 
 
-def is_pk_free(g: LabeledGraph, k: int, budget: Optional[int] = None) -> InducedPathResult:
+def _no_tick() -> None:
+    """What ``is_pk_free`` calls per node when it is given no ``tick``."""
+
+
+def is_pk_free(
+    g: LabeledGraph, k: int, tick: Optional[Callable[[], None]] = None
+) -> InducedPathResult:
     """Decide whether g has no induced path on k vertices, by DFS extension.
 
     "free" means no such path exists; "found" carries the path, in order, as
     the counterexample witness. Grows simple paths one endpoint at a time,
     pruning any extension adjacent to a non-tip path vertex (which would chord
     the path). Every induced path is reached from each of its two endpoints,
-    so trying all start vertices is exhaustive. The node budget counts
-    extension attempts; exceeding it yields a "budget_exceeded" result, never
-    a wrong answer.
+    so trying all start vertices is exhaustive. ``tick`` is called at every
+    start vertex and extension attempt, so a ``GammaTable.tick`` counts them
+    against the command's budget and its ``BudgetExceeded`` propagates.
     """
     if k < 1:
         raise GraphError(f"path length must be >= 1, got {k}")
-    if budget is not None and budget <= 0:
-        raise GraphError("budget must be positive")
-    if k == 1:
-        if g.n >= 1:
-            return InducedPathResult("found", (0,), 1)
-        return InducedPathResult("free", None, 0)
     if g.n < k:
-        return InducedPathResult("free", None, 0)
-
+        return InducedPathResult("free")
+    tick = tick or _no_tick
     masks = g.closed_masks
-    nodes = 0
 
     def extend(path: list[int], forbidden: int) -> Optional[tuple[int, ...]]:
-        nonlocal nodes
         if len(path) == k:
             return tuple(path)
         tip = path[-1]
         for w in sorted(g.adj[tip]):
             if (forbidden >> w) & 1:
                 continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(nodes)
+            tick()
             # w may touch only the current tip: anything adjacent to an
             # earlier path vertex would create a chord.
             path.append(w)
@@ -404,17 +399,12 @@ def is_pk_free(g: LabeledGraph, k: int, budget: Optional[int] = None) -> Induced
             path.pop()
         return None
 
-    try:
-        for start in range(g.n):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(nodes)
-            found = extend([start], 1 << start)
-            if found is not None:
-                return InducedPathResult("found", found, nodes)
-    except BudgetExceeded as exc:
-        return InducedPathResult("budget_exceeded", None, exc.nodes)
-    return InducedPathResult("free", None, nodes)
+    for start in range(g.n):
+        tick()
+        found = extend([start], 1 << start)
+        if found is not None:
+            return InducedPathResult("found", found)
+    return InducedPathResult("free")
 
 
 def induced_subgraph(g: LabeledGraph, vertices: Iterable[int]) -> LabeledGraph:

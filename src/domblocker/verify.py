@@ -9,16 +9,17 @@ is "pass", "fail" (with a re-checkable counterexample payload), or
 "skipped" when the node budget ran out; failures are never silently
 truncated.
 
-Every claim and suite takes the run's ``GammaTable`` as its ``table`` (and
-makes an unbudgeted one when it is absent), so the table's node budget bounds
-the whole run, the induced-P7 certificate's extension nodes included: once
-it is spent, every later search raises ``BudgetExceeded``, and every claim
-that still needs a search node is ``skipped``. A claim that finished before
-keeps its verdict. The table keeps γ and the every-MDS decisions for the
-whole run, so no labeled graph is solved or enumerated twice: the
-``contraction`` suite walks its corpus once and evaluates both of its claims
-on each graph, contractions that several corpus graphs share are solved
-once, and the ``subcubic`` suite's two claims of a formula share γ. The
+Every claim and suite takes the run's ``GammaTable`` as its required
+``table``, and reads no other search context, so the table's node budget
+bounds the whole run: the induced-P7 certificate ticks it at every extension
+node. Once it is spent, every later search raises ``BudgetExceeded``, and
+every claim that still needs a search node is ``skipped``. A claim that
+finished before keeps its verdict. The table keeps γ and the every-MDS
+decisions for the whole run, so no labeled graph is solved or enumerated
+twice: the ``contraction`` suite walks its corpus once and evaluates both of
+its claims on each graph, contractions that several corpus graphs share are
+solved once, and ``verify_subcubic`` answers a formula's two claims from one
+build, one brute force and one γ. The
 characterization and the negated all-independent decider read one
 enumeration, so the decider's witness is checked by set predicates as well;
 the definitional contract-and-compare oracle stays independent of it, and
@@ -45,6 +46,13 @@ gadgets' bounds. Every valid formula on three or four variables is one of
 them up to clause order: at three variables the only clause is (1,2,3), and
 at four each clause leaves out a different variable. So random formulas of
 those sizes would only check the same two again.
+
+On a satisfiable formula the ``subcubic`` and ``p7`` claims check the
+reduction both ways: the brute-force assignment maps to a dominating set of
+the floor size, and, when γ is the floor, the γ witness maps back to a
+satisfying assignment. γ is solved without a warm start, so its witness is
+the optimizer's own, and mapping it back is a check independent of the
+assignment.
 
 ``run_suite`` is the one way into the suites. It hands each suite only the
 options that suite takes, runs "all" in name order on one table, and looks
@@ -124,54 +132,70 @@ def _skipped(claim, instance, exc: BudgetExceeded) -> ClaimVerdict:
     return ClaimVerdict(claim, instance, "skipped", f"budget exceeded: {exc}")
 
 
-def _table(table: Optional[GammaTable]) -> GammaTable:
-    """The caller's table, or a fresh unbudgeted one."""
-    return GammaTable() if table is None else table
-
-
 # -- subcubic construction checks ----------------------------------------------
 
 
-def verify_subcubic_gamma(f: Formula1in3, table: Optional[GammaTable] = None) -> ClaimVerdict:
-    """Satisfiability (brute force) iff gamma equals the floor 3|X| + |C|, and
-    the γ witness meets every gadget's floor."""
-    claim = "subcubic-gamma-iff-sat"
-    instance = f"1in3 formula |X|={f.num_vars} clauses={list(f.clauses)}"
-    assignment = solve_1in3_brute(f)
-    g, rmap = reductions.build_subcubic(f)
-    hint = reductions.assignment_to_mds_subcubic(rmap, assignment) if assignment else None
+def _map_problems(g, rmap, floor, assignment, result, to_set, to_assignment) -> list[str]:
+    """The reduction's maps on a satisfiable formula: ``to_set`` takes the
+    assignment to a dominating set of g with ``floor`` members and, when γ
+    is the floor, ``to_assignment`` takes the γ witness back to a satisfying
+    assignment. Empty list when both hold."""
+    problems = []
     try:
-        result = _table(table).solve(g, hint)
+        forward = to_set(rmap, assignment)
+        if len(forward) != floor or not is_dominating(g, forward):
+            problems.append(f"the assignment maps to {len(forward)} vertices, not a dominating set of {floor}")
+        if result.gamma == floor:
+            to_assignment(rmap, g, result.witness)
+    except reductions.ReductionError as exc:
+        problems.append(f"map failed: {exc}")
+    return problems
+
+
+def verify_subcubic(f: Formula1in3, table: GammaTable) -> list[ClaimVerdict]:
+    """Both subcubic claims on one build, one brute force and one γ solve:
+    satisfiability iff gamma equals the floor 3|X| + |C|, with the γ witness
+    meeting every gadget's floor and the reduction's maps checked both ways
+    on a satisfiable formula; and gamma equals the floor iff every minimum
+    dominating set is efficient."""
+    gamma_claim = "subcubic-gamma-iff-sat"
+    efficient_claim = "subcubic-all-efficient-iff-tight"
+    instance = f"1in3 formula |X|={f.num_vars} clauses={list(f.clauses)}"
+    g, rmap = reductions.build_subcubic(f)
+    assignment = solve_1in3_brute(f)
+    try:
+        result = table.solve(g)
     except BudgetExceeded as exc:
-        return _skipped(claim, instance, exc)
+        return [_skipped(gamma_claim, instance, exc), _skipped(efficient_claim, instance, exc)]
     gamma = result.gamma
     target = rmap.expected_gamma()
+    tight = gamma == target
     sat = assignment is not None
     problems = check_subcubic_gadget_bounds(rmap, result.witness)
-    ok = sat == (gamma == target) and gamma >= target and not problems
-    return _verdict(
-        claim,
-        instance,
-        ok,
-        f"sat={sat} gamma={gamma} target={target}",
-        {"gamma": gamma, "target": target, "sat": sat, "witness_problems": problems},
-    )
-
-
-def verify_subcubic_efficiency(f: Formula1in3, table: Optional[GammaTable] = None) -> ClaimVerdict:
-    """gamma == 3|X| + |C| iff every minimum dominating set is efficient."""
-    claim = "subcubic-all-efficient-iff-tight"
-    instance = f"1in3 formula |X|={f.num_vars} clauses={list(f.clauses)}"
-    g, rmap = reductions.build_subcubic(f)
-    assignment = solve_1in3_brute(f)
-    hint = reductions.assignment_to_mds_subcubic(rmap, assignment) if assignment else None
-    table = _table(table)
+    if sat:
+        problems += _map_problems(
+            g,
+            rmap,
+            target,
+            assignment,
+            result,
+            reductions.assignment_to_mds_subcubic,
+            reductions.mds_to_assignment_subcubic,
+        )
+    ok = sat == tight and gamma >= target and not problems
+    verdicts = [
+        _verdict(
+            gamma_claim,
+            instance,
+            ok,
+            f"sat={sat} gamma={gamma} target={target}",
+            {"gamma": gamma, "target": target, "sat": sat, "witness_problems": problems},
+        )
+    ]
     try:
-        gamma = table.solve(g, hint).gamma
         efficient = all_efficient_md(g, table)
     except BudgetExceeded as exc:
-        return _skipped(claim, instance, exc)
-    tight = gamma == rmap.expected_gamma()
+        return verdicts + [_skipped(efficient_claim, instance, exc)]
     ok = tight == efficient.holds
     counter = None
     if not efficient.holds:
@@ -179,7 +203,8 @@ def verify_subcubic_efficiency(f: Formula1in3, table: Optional[GammaTable] = Non
         # the witness must re-verify as a non-efficient minimum dominating set
         ok = ok and is_dominating(g, efficient.witness) and not is_efficient(g, efficient.witness)
         counter = {"non_efficient_mds": witness, "gamma": gamma}
-    return _verdict(claim, instance, ok, f"tight={tight} all_efficient={efficient.holds}", counter)
+    detail = f"tight={tight} all_efficient={efficient.holds}"
+    return verdicts + [_verdict(efficient_claim, instance, ok, detail, counter)]
 
 
 def check_subcubic_gadget_bounds(
@@ -201,7 +226,7 @@ def check_subcubic_gadget_bounds(
     return problems
 
 
-def verify_nine_cycle_gadget(table: Optional[GammaTable] = None) -> ClaimVerdict:
+def verify_nine_cycle_gadget(table: GammaTable) -> ClaimVerdict:
     """The isolated variable gadget has exactly three minimum dominating sets:
     the cycle_u triple, the true triple, and the false triple."""
     claim = "nine-cycle-gadget-minimum-sets"
@@ -272,9 +297,7 @@ def check_replacement_gadget_bounds(
     return problems
 
 
-def verify_clawfree_offset(
-    g: LabeledGraph, instance: str, table: Optional[GammaTable] = None
-) -> ClaimVerdict:
+def verify_clawfree_offset(g: LabeledGraph, instance: str, table: GammaTable) -> ClaimVerdict:
     """gamma(replacement(g)) == gamma(g) + 5|V_3| + 2|V_2|, with the lift and
     projection round-trips checked, gadget bounds on every found set, and the
     structural certificate."""
@@ -283,13 +306,12 @@ def verify_clawfree_offset(
     structure = verify_clawfree_structure(target, instance)
     if not structure.passed:
         return structure
-    table = _table(table)
     try:
         source_result = table.solve(g)
-        lifted = reductions.lift_dominating_set(rmap, source_result.witness)
-        target_result = table.solve(target, lifted)
+        target_result = table.solve(target)
     except BudgetExceeded as exc:
         return _skipped(claim, instance, exc)
+    lifted = reductions.lift_dominating_set(rmap, source_result.witness)
     expected = source_result.gamma + rmap.offset()
     problems = []
     if target_result.gamma != expected:
@@ -323,28 +345,22 @@ def verify_clawfree_offset(
 # -- triangle/clique construction checks --------------------------------------------
 
 
-def verify_triangle_construction(
-    f: Formula3Sat, table: Optional[GammaTable] = None
-) -> ClaimVerdict:
+def verify_triangle_construction(f: Formula3Sat, table: GammaTable) -> ClaimVerdict:
     """Three-way equivalence: satisfiable (brute force) iff gamma == |X| iff
     every minimum dominating set is independent; plus the no-induced-P7
-    certificate."""
+    certificate, whose extension nodes count against the table's budget,
+    and, on a satisfiable formula, the reduction's maps both ways."""
     claim = "triangle-gamma-iff-sat"
     instance = f"3sat |X|={f.num_vars} clauses={list(f.clauses)}"
     g, rmap = reductions.build_p7free(f)
     assignment = solve_3sat_brute(f)
-    hint = reductions.assignment_to_mds_p7(rmap, assignment) if assignment else None
-    table = _table(table)
     try:
-        gamma = table.solve(g, hint).gamma
+        result = table.solve(g)
         independent = all_independent_md(g, table)
-        # the certificate's extension nodes count against the table's budget;
-        # with none left it may take one, which the tick then refuses
-        left = None if table.budget is None else max(table.budget - table.nodes, 1)
-        p7 = is_pk_free(g, 7, budget=left)
-        table.tick(p7.nodes)
+        p7 = is_pk_free(g, 7, tick=table.tick)
     except BudgetExceeded as exc:
         return _skipped(claim, instance, exc)
+    gamma = result.gamma
     sat = assignment is not None
     problems = []
     if gamma < f.num_vars:
@@ -359,6 +375,16 @@ def verify_triangle_construction(
         witness = independent.witness
         if not is_dominating(g, witness):
             problems.append("non-independent witness does not dominate")
+    if sat:
+        problems += _map_problems(
+            g,
+            rmap,
+            f.num_vars,
+            assignment,
+            result,
+            reductions.assignment_to_mds_p7,
+            reductions.mds_to_assignment_p7,
+        )
     ok = not problems
     return _verdict(
         claim,
@@ -475,7 +501,6 @@ def _corpus_verdicts(graphs, table, claims) -> list[ClaimVerdict]:
     """Evaluate corpus claims in one pass over graphs. Each claim stops at
     its first failing or skipped graph; the claims still open share the
     table's results."""
-    table = _table(table)
     verdicts: list[Optional[ClaimVerdict]] = [None] * len(claims)
     checked = [0] * len(claims)
     for name, g in graphs:
@@ -512,25 +537,20 @@ def _corpus(max_n: int, random_count: int, random_sizes: tuple[int, ...], seed: 
 
 
 def suite_contraction(
-    max_n: int = 6,
-    random_count: int = 200,
-    seed: int = 2024,
-    table: Optional[GammaTable] = None,
+    max_n: int, random_count: int, seed: int, table: GammaTable
 ) -> list[ClaimVerdict]:
     corpus = _corpus(max_n, random_count, (7, 8, 9), seed)
     return _corpus_verdicts(corpus, table, [_EQUIVALENCES, _BOUND])
 
 
-def suite_subcubic(table: Optional[GammaTable] = None) -> list[ClaimVerdict]:
-    table = _table(table)
+def suite_subcubic(table: GammaTable) -> list[ClaimVerdict]:
     verdicts = [verify_nine_cycle_gadget(table)]
     for f in (satisfiable_fixture(), unsatisfiable_fixture()):
-        verdicts.append(verify_subcubic_gamma(f, table))
-        verdicts.append(verify_subcubic_efficiency(f, table))
+        verdicts += verify_subcubic(f, table)
     return verdicts
 
 
-def suite_clawfree(seed: int = 2024, table: Optional[GammaTable] = None) -> list[ClaimVerdict]:
+def suite_clawfree(seed: int, table: GammaTable) -> list[ClaimVerdict]:
     cases: list[tuple[str, LabeledGraph]] = [
         ("C4", cycle_graph(4)),
         ("C5", cycle_graph(5)),
@@ -573,12 +593,11 @@ def eight_pattern_formula() -> Formula3Sat:
     return Formula3Sat.make(3, pool)
 
 
-def suite_p7(table: Optional[GammaTable] = None) -> list[ClaimVerdict]:
-    table = _table(table)
-    verdicts = []
-    for f in all_three_var_formulas() + [eight_pattern_formula()]:
-        verdicts.append(verify_triangle_construction(f, table))
-    return verdicts
+def suite_p7(table: GammaTable) -> list[ClaimVerdict]:
+    return [
+        verify_triangle_construction(f, table)
+        for f in all_three_var_formulas() + [eight_pattern_formula()]
+    ]
 
 
 SUITES = {
@@ -600,7 +619,8 @@ def run_suite(
     on one table; each suite gets only the options it takes."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    options = {"max_n": max_n, "random_count": random_count, "seed": seed, "table": _table(table)}
+    table = GammaTable() if table is None else table
+    options = {"max_n": max_n, "random_count": random_count, "seed": seed, "table": table}
     verdicts = []
     for suite_name in sorted(SUITES) if name == "all" else [name]:
         suite = SUITES[suite_name]

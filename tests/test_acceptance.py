@@ -71,8 +71,7 @@ def subcubic_runs(found_sets):
     for f in instances:
         g, rmap = db.build_subcubic(f)
         assignment = db.solve_1in3_brute(f)
-        hint = db.assignment_to_mds_subcubic(rmap, assignment) if assignment else None
-        result = db.domination_number(g, hint=hint)
+        result = db.domination_number(g)
         efficient = db.all_efficient_md(g)
         found_sets["subcubic"].append((rmap, result.witness))
         if assignment is not None:
@@ -113,7 +112,7 @@ def clawfree_runs(found_sets):
         target, rmap = db.build_clawfree(g)
         source = db.domination_number(g)
         lifted = db.lift_dominating_set(rmap, source.witness)
-        result = db.domination_number(target, hint=lifted)
+        result = db.domination_number(target)
         found_sets["clawfree"].append((rmap, result.witness))
         found_sets["clawfree"].append((rmap, lifted))
         projected = db.project_dominating_set(rmap, target, result.witness)
@@ -251,7 +250,7 @@ def test_criterion_5_structural_certificates(clawfree_runs):
     ]
     for f in p7_formulas:
         g, _ = db.build_p7free(f)
-        verdict = db.is_pk_free(g, 7, budget=5_000_000)
+        verdict = db.is_pk_free(g, 7, tick=db.GammaTable(5_000_000).tick)
         if verdict.status != "free":
             problems.append(f"induced P7 in build for {f}")
     elapsed = time.monotonic() - start

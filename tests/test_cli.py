@@ -178,6 +178,13 @@ class TestSolve:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("command", [["solve", "--what", "gamma"], ["verify", "subcubic"]])
+    @pytest.mark.parametrize("raw", ["0", "abc"])
+    def test_bad_budget_env_var_usage_error(self, runner, command, raw):
+        result = runner.invoke(main, command, input="Dhc\n", env={"DOMBLOCKER_BUDGET": raw})
+        assert result.exit_code == 2
+        assert "Invalid value for '--budget'" in result.output
+
     @pytest.mark.parametrize("what, budget", [("ct", "50"), ("blocker", "1000")])
     def test_budget_bounds_the_whole_command(self, runner, what, budget):
         # the γ solve and each forced-set solve of ct_gamma fit either budget

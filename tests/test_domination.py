@@ -159,13 +159,6 @@ class TestDominationNumber:
         g = LabeledGraph.from_edges(4, [(0, 1), (2, 3)])
         assert domination_number(g).gamma == 2
 
-    def test_hint_is_just_a_warm_start(self, c9):
-        plain = domination_number(c9).gamma
-        assert domination_number(c9, hint=frozenset({0, 3, 6})).gamma == plain
-        assert domination_number(c9, hint=frozenset(range(9))).gamma == plain
-        # a non-dominating hint is ignored
-        assert domination_number(c9, hint=frozenset({0})).gamma == plain
-
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)
     def test_relabeling_invariance(self, pyrng):

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from domblocker import (
+    BudgetExceeded,
+    GammaTable,
     GraphError,
     LabeledGraph,
     complete_graph,
@@ -104,14 +106,12 @@ class TestInducedPath:
 
     def test_budget_exhaustion_is_reported_not_wrong(self):
         g = complete_graph(9)  # many length-2 extensions, no long induced paths
-        result = is_pk_free(g, 4, budget=5)
-        assert result.status == "budget_exceeded"
+        with pytest.raises(BudgetExceeded):
+            is_pk_free(g, 4, tick=GammaTable(5).tick)
 
     def test_bad_arguments(self):
         with pytest.raises(GraphError):
             is_pk_free(path_graph(3), 0)
-        with pytest.raises(GraphError):
-            is_pk_free(path_graph(3), 3, budget=0)
 
     def test_single_vertex_path(self):
         assert is_pk_free(LabeledGraph.empty(0), 1).status == "free"

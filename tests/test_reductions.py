@@ -360,8 +360,9 @@ class TestClaimOffsetIdentity:
         assert brute_gamma(graph) == expected_gamma
         target, rmap = build_clawfree(graph)
         lifted = lift_dominating_set(rmap, domination_number(graph).witness)
-        result = domination_number(target, hint=lifted)
+        result = domination_number(target)
         assert result.gamma == expected_gamma + rmap.offset()
+        assert len(lifted) == result.gamma
 
     def test_offset_identity_random(self):
         rng = random.Random(2024)
@@ -371,7 +372,7 @@ class TestClaimOffsetIdentity:
             gamma = domination_number(g).gamma
             assert gamma == brute_gamma(g)
             lifted = lift_dominating_set(rmap, domination_number(g).witness)
-            assert domination_number(target, hint=lifted).gamma == gamma + rmap.offset()
+            assert domination_number(target).gamma == gamma + rmap.offset() == len(lifted)
 
 
 class TestBuildP7Free:

@@ -9,9 +9,12 @@ import domblocker.verify as verify_mod
 from domblocker import (
     Decision,
     Formula1in3,
+    Formula3Sat,
     GammaTable,
     all_independent_md,
     cycle_graph,
+    domination_number,
+    is_dominating,
     path_graph,
     satisfiable_fixture,
     unsatisfiable_fixture,
@@ -29,8 +32,7 @@ from domblocker.verify import (
     suite_subcubic,
     verify_clawfree_offset,
     verify_nine_cycle_gadget,
-    verify_subcubic_efficiency,
-    verify_subcubic_gamma,
+    verify_subcubic,
     verify_triangle_construction,
 )
 
@@ -39,34 +41,34 @@ from bruteforce import brute_gamma, set_contraction
 
 class TestIndividualChecks:
     def test_gamma_iff_sat_on_fixtures(self):
-        assert verify_subcubic_gamma(satisfiable_fixture()).passed
-        assert verify_subcubic_gamma(unsatisfiable_fixture()).passed
+        assert verify_subcubic(satisfiable_fixture(), GammaTable())[0].passed
+        assert verify_subcubic(unsatisfiable_fixture(), GammaTable())[0].passed
 
     def test_efficiency_iff_tight_on_fixtures(self):
-        assert verify_subcubic_efficiency(satisfiable_fixture()).passed
-        verdict = verify_subcubic_efficiency(unsatisfiable_fixture())
+        assert verify_subcubic(satisfiable_fixture(), GammaTable())[1].passed
+        verdict = verify_subcubic(unsatisfiable_fixture(), GammaTable())[1]
         assert verdict.passed  # biconditional holds; witness got re-checked inside
 
     def test_nine_cycle_gadget(self):
-        verdict = verify_nine_cycle_gadget()
+        verdict = verify_nine_cycle_gadget(GammaTable())
         assert verdict.passed
         assert "3 minimum dominating sets" in verdict.detail
 
     def test_clawfree_offset_small(self):
-        assert verify_clawfree_offset(cycle_graph(5), "C5").passed
-        assert verify_clawfree_offset(cycle_graph(6), "C6").passed
+        assert verify_clawfree_offset(cycle_graph(5), "C5", GammaTable()).passed
+        assert verify_clawfree_offset(cycle_graph(6), "C6", GammaTable()).passed
 
     def test_triangle_construction_cases(self):
         formulas = [f for f in all_three_var_formulas() if len(f.clauses) == 1]
         assert len(formulas) == 8
         for f in formulas:
-            assert verify_triangle_construction(f).passed
-        assert verify_triangle_construction(eight_pattern_formula()).passed
+            assert verify_triangle_construction(f, GammaTable()).passed
+        assert verify_triangle_construction(eight_pattern_formula(), GammaTable()).passed
 
     def test_contraction_checks_tiny_corpus(self):
         corpus = [("P4", path_graph(4)), ("C6", cycle_graph(6)), ("C4", cycle_graph(4))]
         claims = [verify_mod._EQUIVALENCES, verify_mod._BOUND]
-        verdicts = verify_mod._corpus_verdicts(corpus, None, claims)
+        verdicts = verify_mod._corpus_verdicts(corpus, GammaTable(), claims)
         assert [v.status for v in verdicts] == ["pass", "pass"]
 
 
@@ -76,12 +78,12 @@ class TestFailurePlumbing:
 
         real = domination.domination_number
 
-        def wrong(g, table=None, hint=None):
-            result = real(g, table, hint=hint)
+        def wrong(g, table=None):
+            result = real(g, table)
             return type(result)(result.gamma + 1, result.witness)
 
         monkeypatch.setattr(domination, "domination_number", wrong)
-        verdict = verify_mod.verify_subcubic_gamma(satisfiable_fixture())
+        verdict = verify_mod.verify_subcubic(satisfiable_fixture(), GammaTable())[0]
         assert verdict.status == "fail"
         assert verdict.counterexample is not None
         assert verdict.counterexample["gamma"] != verdict.counterexample["target"]
@@ -93,23 +95,54 @@ class TestFailurePlumbing:
         f = satisfiable_fixture()
         gadget = build_subcubic(f)[1].gadget_vertices(1)
 
-        def thin(g, table=None, hint=None):
+        def thin(g, table=None):
             # the right γ, but a witness with no member in variable gadget 1
-            result = real(g, table, hint=hint)
+            result = real(g, table)
             return type(result)(result.gamma, result.witness - gadget)
 
         monkeypatch.setattr(domination, "domination_number", thin)
-        verdict = verify_subcubic_gamma(f)
+        verdict = verify_subcubic(f, GammaTable())[0]
         assert verdict.status == "fail"
         assert verdict.detail == "sat=True gamma=12 target=12"
         assert verdict.counterexample["witness_problems"][0] == (
             "variable gadget 1 holds 0 < 3 members"
         )
 
+    def test_unprojectable_gamma_witness_fails_the_claim(self, monkeypatch):
+        from domblocker import domination
+
+        real = domination.domination_number
+        f = Formula3Sat.make(3, [(1, 2, 3)])
+        g, _ = build_p7free(f)
+        lost = frozenset(range(real(g).gamma))
+        assert not is_dominating(g, lost)
+
+        def unprojectable(g, table=None):
+            # the right γ, but a witness that does not map back to an assignment
+            result = real(g, table)
+            return type(result)(result.gamma, lost)
+
+        monkeypatch.setattr(domination, "domination_number", unprojectable)
+        verdict = verify_triangle_construction(f, GammaTable())
+        assert verdict.status == "fail"
+        assert verdict.counterexample["problems"] == [
+            "map failed: input set does not dominate the built graph"
+        ]
+
+    def test_assignment_must_map_to_a_dominating_set(self, monkeypatch):
+        from domblocker import reductions
+
+        monkeypatch.setattr(reductions, "assignment_to_mds_p7", lambda rmap, a: frozenset())
+        verdict = verify_triangle_construction(Formula3Sat.make(3, [(1, 2, 3)]), GammaTable())
+        assert verdict.status == "fail"
+        assert verdict.counterexample["problems"] == [
+            "the assignment maps to 0 vertices, not a dominating set of 3"
+        ]
+
     def test_budget_gives_skipped_not_fail(self):
-        verdict = verify_subcubic_gamma(unsatisfiable_fixture(), GammaTable(budget=1))
-        assert verdict.status == "skipped"
-        assert "budget" in verdict.detail
+        for verdict in verify_subcubic(unsatisfiable_fixture(), GammaTable(budget=1)):
+            assert verdict.status == "skipped"
+            assert "budget" in verdict.detail
 
     def test_p7_certificate_counts_against_the_budget(self):
         f = eight_pattern_formula()
@@ -142,7 +175,7 @@ class TestSuites:
             run_suite("nope")
 
     def test_subcubic_suite_small(self):
-        verdicts = suite_subcubic()
+        verdicts = suite_subcubic(GammaTable())
         assert [v.claim for v in verdicts] == ["nine-cycle-gadget-minimum-sets"] + [
             "subcubic-gamma-iff-sat",
             "subcubic-all-efficient-iff-tight",
@@ -169,8 +202,15 @@ class TestSuites:
         text = json.dumps([v.to_json_dict() for v in verdicts], indent=2, sort_keys=True) + "\n"
         assert text == (Path(__file__).parent / "golden" / "verify_all_n6_seed2024.json").read_text()
 
+    def test_gamma_witness_depends_on_the_graph_alone(self):
+        table = GammaTable()
+        suite_subcubic(table)
+        for f in (satisfiable_fixture(), unsatisfiable_fixture()):
+            g, _ = build_subcubic(f)
+            assert table.solve(g).witness == domination_number(g).witness
+
     def test_clawfree_suite_small(self):
-        verdicts = suite_clawfree(seed=5)
+        verdicts = suite_clawfree(5, GammaTable())
         assert verdicts and all(v.passed for v in verdicts)
         claims = {v.claim for v in verdicts}
         assert "clawfree-gamma-offset" in claims and "clawfree-structure" in claims
@@ -199,10 +239,10 @@ class TestContractionSinglePass:
         return list(verify_mod._corpus(self.MAX_N, self.RANDOM_COUNT, (7, 8, 9), self.SEED))
 
     def suite_and_alone(self):
-        suite = suite_contraction(self.MAX_N, self.RANDOM_COUNT, self.SEED)
+        suite = suite_contraction(self.MAX_N, self.RANDOM_COUNT, self.SEED, GammaTable())
         corpus = self.corpus()
         claims = [verify_mod._EQUIVALENCES, verify_mod._BOUND]
-        alone = [verify_mod._corpus_verdicts(corpus, None, [claim])[0] for claim in claims]
+        alone = [verify_mod._corpus_verdicts(corpus, GammaTable(), [claim])[0] for claim in claims]
         return [v.to_json_dict() for v in suite], [v.to_json_dict() for v in alone]
 
     @pytest.mark.parametrize(
@@ -264,7 +304,8 @@ class TestContractionSinglePass:
             return Decision(False, frozenset(range(g.n))) if g.adj == target.adj else answer
 
         monkeypatch.setattr(verify_mod, "all_independent_md", lying)
-        suite = [v.to_json_dict() for v in suite_contraction(self.MAX_N, self.RANDOM_COUNT, self.SEED)]
+        suite = suite_contraction(self.MAX_N, self.RANDOM_COUNT, self.SEED, GammaTable())
+        suite = [v.to_json_dict() for v in suite]
         assert [v["status"] for v in suite] == ["fail", "pass"]
         assert suite[0]["instance"] == name
         assert suite[0]["counterexample"]["witness_ok"] is False
