@@ -12,6 +12,7 @@ import json
 import sys
 
 import click
+from click.core import ParameterSource
 
 from . import reductions, smallgraphs, verify
 from .cnf import (
@@ -37,8 +38,24 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+
+class _EnvOption(click.Option):
+    """An option whose bad environment value is reported under the variable's
+    name, not under an option the user did not pass."""
+
+    def consume_value(self, ctx, opts):
+        value, source = super().consume_value(ctx, opts)
+        if source is ParameterSource.ENVIRONMENT:
+            try:
+                value = self.type_cast_value(ctx, value)
+            except click.BadParameter as exc:
+                raise click.BadParameter(exc.message, ctx, param_hint=self.envvar) from exc
+        return value, source
+
+
 _budget_option = click.option(
     "--budget",
+    cls=_EnvOption,
     type=click.IntRange(min=1),
     envvar="DOMBLOCKER_BUDGET",
     help="Search-node budget of the whole command (default: DOMBLOCKER_BUDGET).",

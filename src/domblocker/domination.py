@@ -14,6 +14,10 @@ solves decoupled residual components independently; enumeration mode keeps
 only the reductions that preserve the full solution set, so it visits every
 minimum dominating set exactly once.
 Both share one ``reduce``; the enumerator switches candidate dominance off.
+The optimizer's first incumbent is the greedy max-coverage cover made
+irredundant (each pick that the other kept picks make redundant is dropped),
+which is often γ itself, so the search mostly proves the optimum rather than
+finding it.
 
 Vertex sets are int bitmasks, walked in ascending vertex order. The lower
 bound walks dense masks (the undominated and the available vertices, up to n
@@ -93,7 +97,13 @@ the input graph, not a contraction at any depth of ``ct_definitional``, and
 not a graph that two corpus graphs share as a contraction. Only results of
 identical labeled graphs are shared; each kind of question still runs its
 own code path (the contraction search compares γ values, the deciders
-enumerate).
+read the γ witness and then enumerate).
+
+A decider asks whether every minimum dominating set satisfies a predicate.
+The γ witness is one, so the decider checks it first: when it fails, it is
+the counterexample and nothing is enumerated. Only a witness that passes
+sends the decider to the enumeration, which then visits minimum dominating
+sets until one fails, or all of them when the answer is yes.
 
 ``ct_gamma`` contracts nothing. It reads ct from its characterization:
 the all-independent and all-efficient decisions, which ``blocker_report``
@@ -221,18 +231,34 @@ class _Search:
         self.two, self.near, self.width, self.units = g.search_setup
 
     def greedy_cover(self) -> list[int]:
-        """Greedy max-coverage dominating set; the initial upper bound."""
+        """Greedy max-coverage dominating set made irredundant; the initial
+        upper bound.
+
+        The picks are walked in pick order, and each one whose closed
+        neighbourhood the picks still kept cover without it is dropped.
+        Dropping only shrinks what the others cover, so a pick kept stays
+        needed: no member can leave the result without a vertex going
+        undominated."""
+        nb = self.nb
         und = self.full
         chosen = []
         while und:
             best_v, best_gain = -1, 0
             for v in range(self.n):
-                gain = (self.nb[v] & und).bit_count()
+                gain = (nb[v] & und).bit_count()
                 if gain > best_gain:
                     best_gain, best_v = gain, v
             chosen.append(best_v)
-            und &= ~self.nb[best_v]
-        return chosen
+            und &= ~nb[best_v]
+        kept = list(chosen)
+        for v in chosen:
+            others = 0
+            for u in kept:
+                if u != v:
+                    others |= nb[u]
+            if not nb[v] & ~others:
+                kept.remove(v)
+        return kept
 
     def reduce(
         self, und: int, avail: int, since: Optional[tuple[int, int]] = None
@@ -542,9 +568,9 @@ class _Enumerator(_Search):
 def domination_number(g: LabeledGraph, table: Optional[GammaTable] = None) -> GammaResult:
     """Exact domination number with a witness minimum dominating set.
 
-    The search starts from the greedy cover, counts its nodes against
-    ``table`` and stores nothing in it (``GammaTable.solve`` is the stored
-    way to ask). The witness depends on the labeled graph alone.
+    The search starts from the irredundant greedy cover, counts its nodes
+    against ``table`` and stores nothing in it (``GammaTable.solve`` is the
+    stored way to ask). The witness depends on the labeled graph alone.
     Connectivity not required.
     """
     if g.n == 0:
@@ -567,7 +593,8 @@ class GammaTable:
     builds anyway, so the table keeps a tuple of ints per graph, never the
     graph itself; labels play no part. A miss of ``solve`` calls this module's
     ``domination_number`` (looked up at call time) and stores what it
-    returns; a miss of ``decide`` runs the enumeration. A ``BudgetExceeded``
+    returns; a miss of ``decide`` checks the γ witness of ``solve`` and runs
+    the enumeration only when that witness holds. A ``BudgetExceeded``
     passes through and nothing is stored. A hit costs no search nodes and
     returns what a miss would: the witness depends on the graph alone, not
     on which caller asked first. ``solve_masks`` asks by the key itself, so the contraction searches
@@ -652,10 +679,15 @@ def enumerate_minimum_dominating_sets(
 def _every_minimum_set(
     g: LabeledGraph, table: GammaTable, holds: Callable[[LabeledGraph, frozenset[int]], bool]
 ) -> Decision:
-    """``GammaTable.decide`` on a miss: enumerate until a minimum dominating
-    set fails ``holds``."""
+    """``GammaTable.decide`` on a miss: the γ witness is a minimum
+    dominating set, so a witness that fails ``holds`` is the answer without
+    a search; otherwise enumerate until a minimum dominating set fails
+    ``holds``."""
     if not g.is_connected():
         raise GraphError("decider requires a connected graph")
+    witness = table.solve(g).witness
+    if not holds(g, witness):
+        return Decision(False, witness)
     bad: list[frozenset[int]] = []
 
     def check(s: frozenset[int]) -> bool:

@@ -19,11 +19,14 @@ decisions for the whole run, so no labeled graph is solved or enumerated
 twice: the ``contraction`` suite walks its corpus once and evaluates both of
 its claims on each graph, contractions that several corpus graphs share are
 solved once, and ``verify_subcubic`` answers a formula's two claims from one
-build, one brute force and one γ. The
-characterization and the negated all-independent decider read one
-enumeration, so the decider's witness is checked by set predicates as well;
-the definitional contract-and-compare oracle stays independent of it, and
-brute-force satisfiability stays independent of every γ.
+build, one brute force and one γ. The characterization and the negated
+all-independent decider read one decision of the table, which is the γ
+witness when that set fails the predicate and the enumeration's first
+failing set otherwise. So every decider's "no" is re-checked in full by set
+predicates (``_counterexample_problems``): its witness dominates, has γ
+members and fails the predicate. The definitional contract-and-compare
+oracle stays independent of the deciders, and brute-force satisfiability
+stays independent of every γ.
 
 ``ct_definitional`` is the one contraction search, and both corpus claims
 ask it: ``contraction-equivalences`` reads whether one contraction lowers γ
@@ -86,6 +89,7 @@ from .domination import (
     enumerate_minimum_dominating_sets,
     is_dominating,
     is_efficient,
+    is_independent,
     one_contraction_decision,
     CT_IMPOSSIBLE,
 )
@@ -130,6 +134,25 @@ def _verdict(claim, instance, ok, detail="", counterexample=None) -> ClaimVerdic
 
 def _skipped(claim, instance, exc: BudgetExceeded) -> ClaimVerdict:
     return ClaimVerdict(claim, instance, "skipped", f"budget exceeded: {exc}")
+
+
+def _counterexample_problems(g, gamma, witness, holds) -> list[str]:
+    """A decider's "no" re-checked in full: its witness must be a
+    dominating set of g with gamma members that fails ``holds``. The witness
+    is the γ witness or a set the enumeration found, so no part of that is
+    taken on trust. Empty list when all three hold."""
+    kind = holds.__name__.removeprefix("is_")
+    name = f"non-{kind} witness"
+    if witness is None:
+        return [f"no {name}"]
+    problems = []
+    if not is_dominating(g, witness):
+        problems.append(f"{name} does not dominate")
+    if len(witness) != gamma:
+        problems.append(f"{name} has {len(witness)} members, not gamma={gamma}")
+    if holds(g, witness):
+        problems.append(f"{name} is {kind}")
+    return problems
 
 
 # -- subcubic construction checks ----------------------------------------------
@@ -199,10 +222,13 @@ def verify_subcubic(f: Formula1in3, table: GammaTable) -> list[ClaimVerdict]:
     ok = tight == efficient.holds
     counter = None
     if not efficient.holds:
-        witness = sorted(efficient.witness)
-        # the witness must re-verify as a non-efficient minimum dominating set
-        ok = ok and is_dominating(g, efficient.witness) and not is_efficient(g, efficient.witness)
-        counter = {"non_efficient_mds": witness, "gamma": gamma}
+        witness_problems = _counterexample_problems(g, gamma, efficient.witness, is_efficient)
+        ok = ok and not witness_problems
+        counter = {
+            "non_efficient_mds": sorted(efficient.witness),
+            "gamma": gamma,
+            "witness_problems": witness_problems,
+        }
     detail = f"tight={tight} all_efficient={efficient.holds}"
     return verdicts + [_verdict(efficient_claim, instance, ok, detail, counter)]
 
@@ -372,9 +398,7 @@ def verify_triangle_construction(f: Formula3Sat, table: GammaTable) -> ClaimVerd
     if p7.status != "free":
         problems.append(f"induced 7-vertex path: {p7.witness}")
     if not independent.holds:
-        witness = independent.witness
-        if not is_dominating(g, witness):
-            problems.append("non-independent witness does not dominate")
+        problems += _counterexample_problems(g, gamma, independent.witness, is_independent)
     if sat:
         problems += _map_problems(
             g,
@@ -402,9 +426,9 @@ def _equivalences(claim, name, g, table) -> Optional[ClaimVerdict]:
     """The contraction search (ct = 1), the non-independent-MDS
     characterization and the negated all-independent decider agree on g,
     and the characterization's witness edge lowers gamma. The last two read
-    one enumeration, so the decider's witness is also checked by set
-    predicates: it dominates, has gamma members and holds the witness edge.
-    None when g passes."""
+    one decision, so the decider's witness is also checked by set
+    predicates: it dominates, has gamma members, is not independent and
+    holds the witness edge. None when g passes."""
     try:
         definitional = ct_definitional(g, table)[0] == 1
         characterized = one_contraction_decision(g, table)
@@ -422,12 +446,7 @@ def _equivalences(claim, name, g, table) -> Optional[ClaimVerdict]:
     agree = definitional == characterized.holds == (not independent.holds)
     if not independent.holds:
         members = independent.witness
-        witness_ok = (
-            witness_ok
-            and members is not None
-            and is_dominating(g, members)
-            and len(members) == gamma
-        )
+        witness_ok = witness_ok and not _counterexample_problems(g, gamma, members, is_independent)
         if characterized.holds:
             witness_ok = witness_ok and set(characterized.witness) <= members
     if agree and witness_ok:

@@ -30,12 +30,13 @@ from domblocker import (
     parse_graph6,
     path_graph,
     star_graph,
+    visit_minimum_dominating_sets,
 )
 from domblocker import domination
 from domblocker.graphs import contract_masks
-from domblocker.cnf import gen_3sat, satisfiable_fixture, unsatisfiable_fixture
+from domblocker.cnf import gen_1in3, gen_3sat, satisfiable_fixture, solve_1in3_brute, unsatisfiable_fixture
 from domblocker.reductions import build_p7free, build_subcubic
-from domblocker.smallgraphs import random_connected_graph, random_degree23_graph
+from domblocker.smallgraphs import connected_graphs_upto, random_connected_graph, random_degree23_graph
 
 from bruteforce import (
     brute_all_mds,
@@ -70,6 +71,26 @@ def assert_sequence_lowers_gamma(g, ct, edges):
         assert u < v and v in h.adj[u]
         h = set_contraction(h, u, v)
     assert brute_gamma(h) < brute_gamma(g)
+
+
+def oracle_corpus():
+    """(name, graph): every connected graph on up to seven vertices, subcubic
+    builds at nv 4 and 5 (unsatisfiable) and nv 6 (both classes), P7-free
+    builds and degree-{2,3} graphs."""
+    for i, g in enumerate(connected_graphs_upto(7)):
+        yield f"connected#{i}", g
+    for nv, seeds in ((4, range(3)), (5, range(3)), (6, range(8))):
+        for seed in seeds:
+            f = gen_1in3(nv, seed)
+            sat = solve_1in3_brute(f) is not None
+            yield f"subcubic nv={nv} seed={seed} sat={sat}", build_subcubic(f)[0]
+    for nv in (3, 4, 5):
+        for seed in range(4):
+            yield f"p7free nv={nv} seed={seed}", build_p7free(gen_3sat(nv, nv + seed, seed))[0]
+    rng = random.Random(2305)
+    for i in range(30):
+        n = 8 + i % 12
+        yield f"degree23#{i}(n={n})", random_degree23_graph(n, rng)
 
 
 def grid_graph(rows, cols):
@@ -281,6 +302,48 @@ class TestDeciders:
             sets = brute_all_mds(g)
             assert all_efficient_md(g).holds == all(brute_efficient(g, s) for s in sets)
             assert all_independent_md(g).holds == all(is_independent(g, s) for s in sets)
+
+    @staticmethod
+    def enumerated(g, holds):
+        """Does every minimum dominating set of g satisfy holds? Read from
+        the enumeration alone, on a fresh table."""
+        failed = []
+
+        def check(s):
+            if holds(g, s):
+                return True
+            failed.append(s)
+            return False
+
+        visit_minimum_dominating_sets(g, check, GammaTable())
+        return not failed
+
+    def test_deciders_match_the_enumeration_alone(self):
+        # the deciders answer from the γ witness when it fails the
+        # predicate, so each answer is checked against the enumeration, and
+        # each counterexample by the set predicates
+        subcubic_classes = set()
+        for name, g in oracle_corpus():
+            if name.startswith("subcubic"):
+                subcubic_classes.add("sat=True" in name)
+            gamma = domination_number(g).gamma
+            for decide, holds in ((all_efficient_md, is_efficient), (all_independent_md, is_independent)):
+                decision = decide(g, GammaTable())
+                assert decision.holds == self.enumerated(g, holds), (name, holds.__name__)
+                if not decision.holds:
+                    s = decision.witness
+                    assert is_dominating(g, s) and len(s) == gamma and not holds(g, s), name
+        assert subcubic_classes == {True, False}
+
+
+class TestGreedyCover:
+    def test_irredundant_dominating_set(self):
+        for name, g in oracle_corpus():
+            cover = domination._Search(g, None).greedy_cover()
+            members = set(cover)
+            assert len(members) == len(cover) and is_dominating(g, members), name
+            for v in cover:
+                assert not is_dominating(g, members - {v}), (name, v)
 
 
 class TestOneContraction:

@@ -12,6 +12,8 @@ from domblocker import (
     Formula3Sat,
     GammaTable,
     all_independent_md,
+    is_efficient,
+    is_independent,
     cycle_graph,
     domination_number,
     is_dominating,
@@ -125,8 +127,13 @@ class TestFailurePlumbing:
         monkeypatch.setattr(domination, "domination_number", unprojectable)
         verdict = verify_triangle_construction(f, GammaTable())
         assert verdict.status == "fail"
+        # the decider reads the γ witness first: the bogus one is not
+        # independent, so it comes back as the decider's counterexample, and
+        # the full re-check of that counterexample rejects it too
         assert verdict.counterexample["problems"] == [
-            "map failed: input set does not dominate the built graph"
+            "sat=True but all_independent=False",
+            "non-independent witness does not dominate",
+            "map failed: input set does not dominate the built graph",
         ]
 
     def test_assignment_must_map_to_a_dominating_set(self, monkeypatch):
@@ -138,6 +145,52 @@ class TestFailurePlumbing:
         assert verdict.counterexample["problems"] == [
             "the assignment maps to 0 vertices, not a dominating set of 3"
         ]
+
+    def test_decider_counterexample_is_rechecked_in_full(self):
+        check = verify_mod._counterexample_problems
+        p4 = path_graph(4)  # γ = 2
+        assert check(p4, 2, frozenset({1, 2}), is_independent) == []
+        assert check(p4, 2, None, is_independent) == ["no non-independent witness"]
+        assert check(p4, 2, frozenset({0}), is_independent) == [
+            "non-independent witness does not dominate",
+            "non-independent witness has 1 members, not gamma=2",
+            "non-independent witness is independent",
+        ]
+        assert check(p4, 2, frozenset({0, 1, 2}), is_efficient) == [
+            "non-efficient witness has 3 members, not gamma=2"
+        ]
+
+    def test_efficiency_counterexample_needs_gamma_members(self, monkeypatch):
+        real = verify_mod.all_efficient_md
+
+        def padded(g, table):
+            # still dominating and not efficient, but one member too many
+            decision = real(g, table)
+            return Decision(False, decision.witness | {min(set(range(g.n)) - decision.witness)})
+
+        monkeypatch.setattr(verify_mod, "all_efficient_md", padded)
+        verdict = verify_subcubic(unsatisfiable_fixture(), GammaTable())[1]
+        assert verdict.status == "fail"
+        assert verdict.counterexample["witness_problems"] == [
+            "non-efficient witness has 18 members, not gamma=17"
+        ]
+
+    def test_independence_counterexample_must_fail_the_predicate(self, monkeypatch):
+        f = eight_pattern_formula()
+        g, _ = build_p7free(f)
+        gamma = domination_number(g).gamma
+        independent = set()
+        for v in range(g.n):
+            if not g.adj[v] & independent:
+                independent.add(v)
+        # a dominating set of γ members: only the predicate rejects it
+        assert is_dominating(g, independent) and len(independent) == gamma
+        monkeypatch.setattr(
+            verify_mod, "all_independent_md", lambda g, table: Decision(False, frozenset(independent))
+        )
+        verdict = verify_triangle_construction(f, GammaTable())
+        assert verdict.status == "fail"
+        assert verdict.counterexample["problems"] == ["non-independent witness is independent"]
 
     def test_budget_gives_skipped_not_fail(self):
         for verdict in verify_subcubic(unsatisfiable_fixture(), GammaTable(budget=1)):
