@@ -19,7 +19,10 @@ irredundant (each pick that the other kept picks make redundant is dropped),
 which is often γ itself, so the search mostly proves the optimum rather than
 finding it.
 
-Vertex sets are int bitmasks, walked in ascending vertex order. The lower
+Vertex sets are int bitmasks, walked in ascending vertex order, and a graph
+is its closed-neighbourhood masks (``LabeledGraph.closed_masks``): the
+searches and the set predicates (``is_dominating``, ``is_independent``,
+``is_efficient``, ``set_edges``) read nothing else of it. The lower
 bound walks dense masks (the undominated and the available vertices, up to n
 bits), so it decodes each one into a list in a single pass over its
 ``bin()`` string. It puts each undominated vertex in the bucket of its live
@@ -43,8 +46,8 @@ decoding ``two[y] & mask``. The two-hop masks and lists, ``width`` and the
 lcm units are built once per graph and kept with it
 (``LabeledGraph.search_setup``), so every search of one graph shares them.
 Sparse masks (a branch set, a component frontier, a solution) go through
-the ``_bits`` generator, which costs per set bit rather than per bit
-position. Every walk keeps ascending order where order matters, so the
+the graphs module's ``_bits`` generator, which costs per set bit rather than
+per bit position. Every walk keeps ascending order where order matters, so the
 choice changes the cost of a node, never which nodes the search visits.
 
 ``reduce`` re-checks a rule only where it can newly fire. Inside ``reduce``
@@ -124,7 +127,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .graphs import BudgetExceeded, GraphError, LabeledGraph, contract_masks
+from .graphs import BudgetExceeded, GraphError, LabeledGraph, _bits, _edges, contract_masks
 
 
 @dataclass(frozen=True)
@@ -159,43 +162,25 @@ def is_dominating(g: LabeledGraph, s: frozenset[int] | set[int]) -> bool:
 
 
 def is_independent(g: LabeledGraph, s: frozenset[int] | set[int]) -> bool:
-    members = sorted(s)
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            if g.has_edge(u, v):
-                return False
-    return True
+    """True iff no edge joins two members of s."""
+    masks = g.closed_masks
+    members = sum(1 << v for v in s)
+    return all(masks[v] & members == 1 << v for v in s)
 
 
 def is_efficient(g: LabeledGraph, s: frozenset[int] | set[int]) -> bool:
     """True iff every vertex has exactly one dominator in its closed neighborhood."""
-    for v in range(g.n):
-        count = (1 if v in s else 0) + sum(1 for w in g.adj[v] if w in s)
-        if count != 1:
-            return False
-    return True
+    members = sum(1 << v for v in s)
+    return all((m & members).bit_count() == 1 for m in g.closed_masks)
 
 
 def set_edges(g: LabeledGraph, s: frozenset[int] | set[int]) -> list[tuple[int, int]]:
     """Edges internal to s, sorted."""
-    members = sorted(s)
-    return [
-        (u, v)
-        for i, u in enumerate(members)
-        for v in members[i + 1 :]
-        if g.has_edge(u, v)
-    ]
+    members = sum(1 << v for v in s)
+    return [(u, v) for u in sorted(s) for v in _bits(g.closed_masks[u] & members) if u < v]
 
 
 # -- the solver core -----------------------------------------------------------
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Set bits of a sparse mask, ascending (a branch set, a solution)."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _bit_list(mask: int) -> list[int]:
@@ -728,17 +713,6 @@ def one_contraction_decision(g: LabeledGraph, table: Optional[GammaTable] = None
     witness_set = verdict.witness
     edge = set_edges(g, witness_set)[0]
     return Decision(True, edge)
-
-
-def _edges(masks: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """Edges (u, v), u < v, of the graph with closed neighbourhoods
-    ``masks``, in lexicographic order."""
-    for u, m in enumerate(masks):
-        higher = m >> (u + 1)
-        while higher:
-            low = higher & -higher
-            yield u, u + low.bit_length()
-            higher ^= low
 
 
 def ct_definitional(

@@ -67,10 +67,11 @@ def _decode_n(data: str) -> tuple[int, int]:
 def emit_graph6(g: LabeledGraph, header: bool = False) -> str:
     """Encode the adjacency structure (labels are dropped)."""
     out = [_encode_n(g.n)]
+    masks = g.closed_masks
     bits = []
     for j in range(1, g.n):
         for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
+            bits.append(masks[j] >> i & 1)
     while len(bits) % 6:
         bits.append(0)
     for i in range(0, len(bits), 6):

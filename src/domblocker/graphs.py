@@ -5,6 +5,17 @@ safe to share, hash and use as dict keys. Vertices are dense integers 0..n-1.
 Each vertex carries a :class:`VertexLabel` recording its role inside a built
 gadget graph (or ``PLAIN`` for ordinary vertices), which lets tests and tools
 address gadget vertices by role instead of by position.
+
+A graph is its closed-neighbourhood bitmasks: ``closed_masks[v]`` has bit w
+set iff w = v or vw is an edge. That is the form every search reads (the γ
+optimizer, the MDS enumerator, the keys of a ``GammaTable``) and the form
+``contract_masks`` contracts, so the constructors build masks, every query
+and operation reads them, and a contraction is a plain constructor call on
+the contracted tuple. Neighbour sets (``adj``) are a view decoded on first
+use, for callers that want sets; nothing in the package reads them. Sparse
+masks are walked with ``_bits`` and edges with ``_edges``, both in ascending
+order, so every walk visits vertices and edges in the order a sorted
+neighbour set would.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 
 @dataclass(frozen=True)
@@ -90,22 +101,22 @@ class BudgetExceeded(Exception):
 class LabeledGraph:
     """Simple undirected graph on vertices 0..n-1 with per-vertex labels.
 
-    Invariants: no self-loops, no parallel edges, symmetric adjacency,
-    len(labels) == n. Enforced by the constructors below.
+    ``closed_masks[v]`` is the closed neighbourhood N[v] of v as a bitmask:
+    bit w is set iff w = v or vw is an edge. Every query and operation reads
+    the masks; ``adj`` decodes them into neighbour sets on first use.
+
+    Invariants: each mask holds its own bit and no bit at n or above, the
+    masks are symmetric, len(labels) == n. Enforced by the constructors
+    below; ``from_closed_masks`` trusts its masks.
     """
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    closed_masks: tuple[int, ...]
     labels: tuple[VertexLabel, ...]
 
     @staticmethod
     def empty(n: int, labels: Optional[Iterable[VertexLabel]] = None) -> "LabeledGraph":
-        if n < 0:
-            raise GraphError(f"vertex count must be non-negative, got {n}")
-        labels = tuple(labels) if labels is not None else (PLAIN,) * n
-        if len(labels) != n:
-            raise GraphError(f"expected {n} labels, got {len(labels)}")
-        return LabeledGraph(n, (frozenset(),) * n, labels)
+        return LabeledGraph.from_edges(n, (), labels)
 
     @staticmethod
     def from_edges(
@@ -115,69 +126,54 @@ class LabeledGraph:
     ) -> "LabeledGraph":
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [1 << v for v in range(n)]
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop ({u},{v}) not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            adj[u].add(v)
-            adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         labels = tuple(labels) if labels is not None else (PLAIN,) * n
         if len(labels) != n:
             raise GraphError(f"expected {n} labels, got {len(labels)}")
-        return LabeledGraph(n, tuple(frozenset(s) for s in adj), labels)
+        return LabeledGraph(n, tuple(masks), labels)
 
     @staticmethod
     def from_closed_masks(
         masks: tuple[int, ...], labels: Optional[tuple[VertexLabel, ...]] = None
     ) -> "LabeledGraph":
         """The graph whose closed neighbourhoods are ``masks`` (labels
-        ``PLAIN`` unless given), with ``closed_masks`` already set to that
-        tuple. The masks are trusted: each holds its own bit, and they are
-        symmetric."""
-        n = len(masks)
-        adj = []
-        for v, m in enumerate(masks):
-            m ^= 1 << v
-            nbrs = []
-            while m:
-                low = m & -m
-                nbrs.append(low.bit_length() - 1)
-                m ^= low
-            adj.append(frozenset(nbrs))
-        g = LabeledGraph(n, tuple(adj), (PLAIN,) * n if labels is None else labels)
-        g.__dict__["closed_masks"] = masks  # the cached_property's slot
-        return g
+        ``PLAIN`` unless given). The masks are trusted: each holds its own
+        bit, and they are symmetric."""
+        return LabeledGraph(len(masks), masks, (PLAIN,) * len(masks) if labels is None else labels)
 
     # -- basic queries ----------------------------------------------------
 
+    @cached_property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Neighbour sets, decoded from the masks on first use."""
+        return tuple(frozenset(self.neighbors(v)) for v in range(self.n))
+
+    def neighbors(self, v: int) -> Iterator[int]:
+        """The neighbours of v, ascending."""
+        return _bits(self.closed_masks[v] & ~(1 << v))
+
     def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return self.adj[v] | {v}
+        return frozenset(_bits(self.closed_masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.closed_masks[v].bit_count() - 1
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return u != v and self.closed_masks[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v, in lexicographic order."""
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        return list(_edges(self.closed_masks))
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
-
-    @cached_property
-    def closed_masks(self) -> tuple[int, ...]:
-        """Closed neighborhoods as bitmasks; the solver's working representation."""
-        masks = []
-        for v in range(self.n):
-            m = 1 << v
-            for w in self.adj[v]:
-                m |= 1 << w
-            masks.append(m)
-        return tuple(masks)
+        return (sum(m.bit_count() for m in self.closed_masks) - self.n) // 2
 
     @cached_property
     def search_setup(self) -> SearchSetup:
@@ -186,15 +182,12 @@ class LabeledGraph:
         nb = self.closed_masks
         two = []
         near = []
-        for v, adj in enumerate(self.adj):
-            reach = nb[v]
-            hop = set(adj)
-            for w in adj:
+        for v, m in enumerate(nb):
+            reach = 0
+            for w in _bits(m):
                 reach |= nb[w]
-                hop |= self.adj[w]
-            hop.discard(v)
             two.append(reach)
-            near.append(sorted(hop))
+            near.append(list(_bits(reach & ~(1 << v))))
         width = self.max_degree() + 1
         lcm = math.lcm(*range(1, width + 1))
         units = (0,) + tuple(lcm // c for c in range(1, width + 1))
@@ -208,12 +201,12 @@ class LabeledGraph:
             raise GraphError(f"self-loop ({u},{v}) not allowed")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
-        if v in self.adj[u]:
+        if self.has_edge(u, v):
             return self
-        adj = list(self.adj)
-        adj[u] = adj[u] | {v}
-        adj[v] = adj[v] | {u}
-        return LabeledGraph(self.n, tuple(adj), self.labels)
+        masks = list(self.closed_masks)
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+        return LabeledGraph(self.n, tuple(masks), self.labels)
 
     def contract_edge(self, u: int, v: int) -> "LabeledGraph":
         """Contract edge {u,v}: merge the endpoints into one vertex.
@@ -223,7 +216,7 @@ class LabeledGraph:
         higher endpoint's slot goes and the vertices above it move down one,
         keeping their labels in order (see ``contract_masks``).
         """
-        if v not in self.adj[u]:
+        if not self.has_edge(u, v):
             raise GraphError(f"cannot contract non-edge ({u},{v})")
         u, v = min(u, v), max(u, v)
         labels = self.labels[:u] + (PLAIN,) + self.labels[u + 1 : v] + self.labels[v + 1 :]
@@ -233,13 +226,13 @@ class LabeledGraph:
         """Apply a vertex permutation: new vertex perm[v] is old vertex v."""
         if sorted(perm) != list(range(self.n)):
             raise GraphError("not a permutation")
-        adj: list[set[int]] = [set() for _ in range(self.n)]
+        masks = [0] * self.n
         labels: list[VertexLabel] = [PLAIN] * self.n
-        for v in range(self.n):
+        for v, m in enumerate(self.closed_masks):
             labels[perm[v]] = self.labels[v]
-            for w in self.adj[v]:
-                adj[perm[v]].add(perm[w])
-        return LabeledGraph(self.n, tuple(frozenset(s) for s in adj), tuple(labels))
+            for w in _bits(m):
+                masks[perm[v]] |= 1 << perm[w]
+        return LabeledGraph(self.n, tuple(masks), tuple(labels))
 
     # -- predicates --------------------------------------------------------
 
@@ -251,24 +244,43 @@ class LabeledGraph:
         """The verdict of ``is_connected``, found once per graph."""
         if self.n == 0:
             return True
-        seen = {0}
+        masks = self.closed_masks
+        seen = 1
         stack = [0]
         while stack:
-            v = stack.pop()
-            for w in self.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+            fresh = masks[stack.pop()] & ~seen
+            seen |= fresh
+            stack.extend(_bits(fresh))
+        return seen == (1 << self.n) - 1
 
     def max_degree(self) -> int:
-        return max((len(s) for s in self.adj), default=0)
+        return max((m.bit_count() for m in self.closed_masks), default=1) - 1
 
     def min_degree(self) -> int:
-        return min((len(s) for s in self.adj), default=0)
+        return min((m.bit_count() for m in self.closed_masks), default=1) - 1
 
     def is_subcubic(self) -> bool:
         return self.max_degree() <= 3
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, ascending; costs per set bit, so it suits
+    sparse masks (a neighbourhood, a branch set, a solution)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _edges(masks: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """Edges (u, v), u < v, of the graph with closed neighbourhoods
+    ``masks``, in lexicographic order."""
+    for u, m in enumerate(masks):
+        higher = m >> (u + 1)
+        while higher:
+            low = higher & -higher
+            yield u, u + low.bit_length()
+            higher ^= low
 
 
 def contract_masks(masks: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
@@ -329,12 +341,10 @@ def find_claw(g: LabeledGraph) -> Optional[tuple[int, int, int, int]]:
     Scans each vertex's neighborhood for three pairwise non-adjacent members;
     candidates are visited in ascending order so the result is deterministic.
     """
+    masks = g.closed_masks
     for center in range(g.n):
-        nbrs = sorted(g.adj[center])
-        if len(nbrs) < 3:
-            continue
-        for a, b, c in itertools.combinations(nbrs, 3):
-            if b not in g.adj[a] and c not in g.adj[a] and c not in g.adj[b]:
+        for a, b, c in itertools.combinations(g.neighbors(center), 3):
+            if not (masks[a] >> b & 1 or masks[a] >> c & 1 or masks[b] >> c & 1):
                 return (center, a, b, c)
     return None
 
@@ -386,9 +396,8 @@ def is_pk_free(
         if len(path) == k:
             return tuple(path)
         tip = path[-1]
-        for w in sorted(g.adj[tip]):
-            if (forbidden >> w) & 1:
-                continue
+        # the path's vertices are in forbidden, the tip among them
+        for w in _bits(masks[tip] & ~forbidden):
             tick()
             # w may touch only the current tip: anything adjacent to an
             # earlier path vertex would create a chord.
@@ -410,10 +419,7 @@ def is_pk_free(
 def induced_subgraph(g: LabeledGraph, vertices: Iterable[int]) -> LabeledGraph:
     """Subgraph induced by the given vertices, renumbered densely in sorted order."""
     verts = sorted(set(vertices))
-    remap = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (remap[u], remap[v])
-        for u, v in itertools.combinations(verts, 2)
-        if v in g.adj[u]
-    ]
-    return LabeledGraph.from_edges(len(verts), edges, [g.labels[v] for v in verts])
+    masks = tuple(
+        sum(1 << i for i, w in enumerate(verts) if g.closed_masks[v] >> w & 1) for v in verts
+    )
+    return LabeledGraph(len(verts), masks, tuple(g.labels[v] for v in verts))

@@ -237,6 +237,11 @@ class ClawfreeReductionMap:
     def offset(self) -> int:
         return 5 * len(self.v3_list) + 2 * len(self.v2_list)
 
+    def gadget_bounds(self, v: int) -> tuple[int, int]:
+        """The (low, high) counts a minimum dominating set can hold in the
+        gadget of source vertex v: 5 or 6 of 18, or 2 or 3 of 7."""
+        return (5, 6) if self.kind[v] == 3 else (2, 3)
+
     def to_json_dict(self) -> dict:
         return {
             "target": "clawfree",
@@ -280,7 +285,7 @@ def build_clawfree(g: LabeledGraph) -> tuple[LabeledGraph, ClawfreeReductionMap]
             for i in range(6):
                 edges.append((cursor + i, cursor + i + 1))
             cursor += 7
-        for j, u in enumerate(sorted(g.adj[v]), start=1):
+        for j, u in enumerate(g.neighbors(v), start=1):
             port_of[(v, u)] = j
     for u, v in g.edges():
         edges.append((ids[u][f"v{port_of[(u, v)]}"], ids[v][f"v{port_of[(v, u)]}"]))
@@ -320,7 +325,7 @@ def lift_dominating_set(
             else:
                 chosen.update(roles[name] for name in ("v1", "v2", "b1"))
         else:
-            dominator = min(u for u in g.adj[v] if u in d)
+            dominator = next(u for u in g.neighbors(v) if u in d)
             j = rmap.port_of[(v, dominator)]
             if rmap.kind[v] == 3:
                 pattern = (
@@ -347,7 +352,7 @@ def project_dominating_set(
     for v in range(rmap.source.n):
         count = sum(1 for w in rmap.gadget_vertices(v) if w in d_prime)
         total += count
-        low, high = (5, 6) if rmap.kind[v] == 3 else (2, 3)
+        low, high = rmap.gadget_bounds(v)
         if count == high:
             selected.add(v)
         elif count != low:

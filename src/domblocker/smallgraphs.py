@@ -1,8 +1,8 @@
 """Small-graph corpora for exhaustive verification sweeps.
 
-Enumeration up to isomorphism extends each class on n - 1 vertices by one new
-vertex, joined to every neighbour set (every non-empty one for connected
-graphs: removing a leaf of a spanning tree leaves a connected graph, so every
+Enumeration of the connected graphs up to isomorphism extends each class on
+n - 1 vertices by one new vertex, joined to every non-empty neighbour set
+(removing a leaf of a spanning tree leaves a connected graph, so every
 connected class is reached), except that within each twin class of the
 parent only the lowest members are joined: swapping two twins is an
 automorphism of the parent, so joining any other members of the same number
@@ -94,8 +94,8 @@ def _certificate(n: int, adj: list[int]) -> int:
     return best
 
 
-def _neighbour_sets(adj: list[int], parent_n: int, connected_only: bool) -> Iterator[int]:
-    """Neighbour sets of a new vertex joined to the parent's vertices
+def _neighbour_sets(adj: list[int], parent_n: int) -> Iterator[int]:
+    """Non-empty neighbour sets of a new vertex joined to the parent's vertices
     0..parent_n-1, one per choice of how many members of each twin class of
     the parent it joins: always the lowest ones. Swapping two twins is an
     automorphism of the parent, so the sets skipped give isomorphic
@@ -120,25 +120,25 @@ def _neighbour_sets(adj: list[int], parent_n: int, connected_only: bool) -> Iter
         prefixes.append(joined)
     for parts in itertools.product(*prefixes):
         neighbours = sum(parts)
-        if neighbours or not connected_only:
+        if neighbours:
             yield neighbours
 
 
 @lru_cache(maxsize=None)
-def _canonical_masks(n: int, connected_only: bool) -> tuple[int, ...]:
+def _canonical_masks(n: int) -> tuple[int, ...]:
     if not 1 <= n <= MAX_EXHAUSTIVE_N:
         raise GraphError(f"exhaustive enumeration supports 1..{MAX_EXHAUSTIVE_N} vertices")
     if n == 1:
         return (0,)
     new = 1 << (n - 1)
     certificates = set()
-    for parent in _canonical_masks(n - 1, connected_only):
+    for parent in _canonical_masks(n - 1):
         adj = [0] * n
         for k, (i, j) in enumerate(_PAIRS[n - 1]):
             if parent >> k & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-        for neighbours in _neighbour_sets(adj, n - 1, connected_only):
+        for neighbours in _neighbour_sets(adj, n - 1):
             extended = [row | new if neighbours >> v & 1 else row for v, row in enumerate(adj)]
             extended[n - 1] = neighbours
             certificates.add(_certificate(n, extended))
@@ -147,12 +147,7 @@ def _canonical_masks(n: int, connected_only: bool) -> tuple[int, ...]:
 
 def connected_graphs(n: int) -> list[LabeledGraph]:
     """All connected graphs on n vertices, one per isomorphism class."""
-    return [_mask_to_graph(n, m) for m in _canonical_masks(n, True)]
-
-
-def all_graphs(n: int) -> list[LabeledGraph]:
-    """All graphs on n vertices (connected or not), one per isomorphism class."""
-    return [_mask_to_graph(n, m) for m in _canonical_masks(n, False)]
+    return [_mask_to_graph(n, m) for m in _canonical_masks(n)]
 
 
 def connected_graphs_upto(max_n: int) -> list[LabeledGraph]:

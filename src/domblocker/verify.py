@@ -99,6 +99,7 @@ from .graphs import (
     contract_masks,
     cycle_graph,
     find_claw,
+    induced_subgraph,
     is_pk_free,
     prism_graph,
 )
@@ -259,12 +260,7 @@ def verify_nine_cycle_gadget(table: GammaTable) -> ClaimVerdict:
     f = satisfiable_fixture()
     g, rmap = reductions.build_subcubic(f)
     gadget = sorted(rmap.gadget_vertices(1))
-    sub_edges = [
-        (gadget.index(u), gadget.index(v))
-        for u, v in g.edges()
-        if u in rmap.gadget_vertices(1) and v in rmap.gadget_vertices(1)
-    ]
-    c9 = LabeledGraph.from_edges(9, sub_edges)
+    c9 = induced_subgraph(g, gadget)
     try:
         found = {frozenset(s) for s in enumerate_minimum_dominating_sets(c9, table)}
     except BudgetExceeded as exc:
@@ -315,7 +311,7 @@ def check_replacement_gadget_bounds(
     problems = []
     for v in range(rmap.source.n):
         count = len(rmap.gadget_vertices(v) & d_prime)
-        low, high = (5, 6) if rmap.kind[v] == 3 else (2, 3)
+        low, high = rmap.gadget_bounds(v)
         if not low <= count <= high:
             problems.append(
                 f"gadget of source vertex {v} holds {count}, expected {low}..{high}"

@@ -2,8 +2,10 @@
 
 Deliberately written against the plain set-based definitions (no bitmasks, no
 pruning) so they share no code path with the package implementations they
-check. Two exceptions: the reference listing shares the canonical
-certificate and checks only which extensions the listing skips, and
+check. Graphs here are neighbour-set tuples (``g.adj``, or the ``set_*``
+operations), the reference for the closed-mask representation. Two
+exceptions: the reference listing shares the canonical certificate and
+checks only which extensions the listing skips, and
 ``contract_tracked`` contracts with ``LabeledGraph.contract_edge``, since
 what it tests is that contracting an edge set gives one graph in every order.
 """
@@ -12,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from domblocker import LabeledGraph, VertexLabel
+from domblocker import LabeledGraph
 from domblocker.smallgraphs import _certificate
 
 
@@ -44,7 +46,38 @@ def brute_all_mds(g: LabeledGraph) -> set[frozenset]:
     }
 
 
-def set_contraction(g: LabeledGraph, u, v) -> LabeledGraph:
+# -- set-based graph operations: neighbour-set tuples, one frozenset a vertex
+
+
+def set_adjacency(n, edges):
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(frozenset(s) for s in adj)
+
+
+def set_edge_list(adj):
+    """Edges (u, v), u < v, sorted."""
+    return sorted((u, v) for u in range(len(adj)) for v in adj[u] if u < v)
+
+
+def set_connected(adj) -> bool:
+    seen = {0} if adj else set()
+    stack = list(seen)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
+
+
+def set_add_edge(adj, u, v):
+    return tuple(s | {v} if w == u else s | {u} if w == v else s for w, s in enumerate(adj))
+
+
+def set_contract(adj, u, v):
     """Contract edge {u, v}, u < v: the merged vertex keeps u's slot and is
     adjacent to N(u) | N(v) less both ends; v goes, and every vertex above v
     moves down one."""
@@ -52,12 +85,33 @@ def set_contraction(g: LabeledGraph, u, v) -> LabeledGraph:
     def renumber(w):
         return u if w == v else w - (w > v)
 
-    adj = []
-    for w in range(g.n):
+    out = []
+    for w in range(len(adj)):
         if w != v:
-            nbrs = set(g.adj[u]) | set(g.adj[v]) if w == u else set(g.adj[w])
-            adj.append(frozenset(renumber(x) for x in nbrs) - {renumber(w)})
-    return LabeledGraph(g.n - 1, tuple(adj), (VertexLabel(),) * (g.n - 1))
+            nbrs = adj[u] | adj[v] if w == u else adj[w]
+            out.append(frozenset(renumber(x) for x in nbrs) - {renumber(w)})
+    return tuple(out)
+
+
+def set_relabel(adj, perm):
+    """New vertex perm[v] is old vertex v."""
+    out = [frozenset()] * len(adj)
+    for v, s in enumerate(adj):
+        out[perm[v]] = frozenset(perm[w] for w in s)
+    return tuple(out)
+
+
+def set_induced(adj, vertices):
+    """The subgraph induced by vertices, renumbered in sorted order."""
+    verts = sorted(vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    return tuple(frozenset(index[w] for w in adj[v] if w in index) for v in verts)
+
+
+def set_contraction(g: LabeledGraph, u, v) -> LabeledGraph:
+    """g with edge {u, v}, u < v, contracted by ``set_contract``."""
+    adj = set_contract(g.adj, u, v)
+    return LabeledGraph.from_edges(len(adj), set_edge_list(adj))
 
 
 def brute_ct(g: LabeledGraph):
@@ -249,17 +303,17 @@ def brute_residual(g: LabeledGraph, und, avail):
     return None
 
 
-def plain_extension_masks(n: int, connected_only: bool) -> tuple[int, ...]:
-    """Canonical edge-slot masks of every graph on n vertices (connected only
-    if asked), by joining a new vertex to every neighbour set of every class
-    on n - 1 vertices, with no twin skipping. The certificate is the
-    package's; only the choice of extensions is independent."""
+def plain_extension_masks(n: int) -> tuple[int, ...]:
+    """Canonical edge-slot masks of every connected graph on n vertices, by
+    joining a new vertex to every non-empty neighbour set of every class on
+    n - 1 vertices, with no twin skipping. The certificate is the package's;
+    only the choice of extensions is independent."""
     if n == 1:
         return (0,)
     pairs = list(itertools.combinations(range(n - 1), 2))
     certificates = set()
-    for parent in plain_extension_masks(n - 1, connected_only):
-        for neighbours in range(1 if connected_only else 0, 1 << (n - 1)):
+    for parent in plain_extension_masks(n - 1):
+        for neighbours in range(1, 1 << (n - 1)):
             adj = [0] * n
             for k, (i, j) in enumerate(pairs):
                 if parent >> k & 1:

@@ -33,7 +33,7 @@ from domblocker import (
     visit_minimum_dominating_sets,
 )
 from domblocker import domination
-from domblocker.graphs import contract_masks
+from domblocker.graphs import _bits, contract_masks
 from domblocker.cnf import gen_1in3, gen_3sat, satisfiable_fixture, solve_1in3_brute, unsatisfiable_fixture
 from domblocker.reductions import build_p7free, build_subcubic
 from domblocker.smallgraphs import connected_graphs_upto, random_connected_graph, random_degree23_graph
@@ -534,6 +534,17 @@ class TestBlockerReport:
             blocker_report(g)
             assert built == {"search_setup": [g], "_connected": [g]}
 
+    def test_searches_never_decode_neighbour_sets(self, gamma_calls):
+        # adj is a cached view of the masks: it enters vars(g) once decoded
+        for g in (build_subcubic(unsatisfiable_fixture())[0], build_p7free(gen_3sat(4, 6, 1))[0]):
+            table = GammaTable()
+            blocker_report(g, table)
+            ct_definitional(g, table)
+            assert "adj" not in vars(g)
+        # the contractions ct_definitional solved were built from masks alone
+        assert len(gamma_calls) > 2
+        assert not any("adj" in vars(h) for h in gamma_calls)
+
     def test_gamma_one_report(self):
         d = blocker_report(star_graph(3)).to_json_dict()
         assert d["gamma"] == 1
@@ -543,7 +554,7 @@ class TestBlockerReport:
 
 class TestGammaTable:
     def test_one_solve_per_adjacency(self, gamma_calls, c6):
-        relabeled = LabeledGraph(c6.n, c6.adj, (VertexLabel("clause", clause=0),) * c6.n)
+        relabeled = LabeledGraph.from_edges(c6.n, c6.edges(), [VertexLabel("clause", clause=0)] * c6.n)
         table = GammaTable()
         first = table.solve(c6)
         assert table.solve(relabeled) is first
@@ -704,7 +715,7 @@ class TestLowerBound:
         yield from searched_states
 
     def expected(self, g, und, avail):
-        bound, branch = reference_lower_bound(g, domination._bits(und), domination._bits(avail))
+        bound, branch = reference_lower_bound(g, _bits(und), _bits(avail))
         return bound, TestIncrementalReduce.as_mask(branch)
 
     def test_matches_reference(self, searched_states):
@@ -730,7 +741,7 @@ class TestLowerBound:
     def test_never_exceeds_the_residual_optimum(self):
         for g, und, avail in self.random_states(self.random_graphs(10)):
             bound, _ = domination._Optimizer(g, None).lower_bound(und, avail)
-            best = brute_residual(g, domination._bits(und), domination._bits(avail))
+            best = brute_residual(g, _bits(und), _bits(avail))
             assert bound == g.n + 1 if best is None else bound <= best
 
 
@@ -755,7 +766,7 @@ class TestIncrementalReduce:
         return sum(1 << v for v in vertices)
 
     def expected(self, g, und, avail, preserving):
-        ref = reference_reduce(g, domination._bits(und), domination._bits(avail), preserving)
+        ref = reference_reduce(g, _bits(und), _bits(avail), preserving)
         return None if ref is None else tuple(self.as_mask(part) for part in ref)
 
     @pytest.mark.parametrize("kind", sorted(SEARCHES))
@@ -780,7 +791,7 @@ class TestIncrementalReduce:
                         und = rng.choice(search.split_components(fix_und))
                     else:
                         und = fix_und
-                    candidates = list(domination._bits(fix_avail))
+                    candidates = list(_bits(fix_avail))
                     v = rng.choice(candidates)
                     tried = [x for x in candidates if x == v or rng.random() < 0.2]
                     und &= ~search.nb[v]
@@ -811,13 +822,13 @@ class TestIncrementalReduce:
             if got is None:
                 continue
             _, und, avail = got
-            for bit in domination._bits(avail):
+            for bit in _bits(avail):
                 child = avail & ~(1 << bit)
                 assert search.reduce(und, child, (und, avail)) == self.expected(
                     g, und, child, preserving
                 )
                 children += 1
-            for bit in domination._bits(und):
+            for bit in _bits(und):
                 child = und & ~(1 << bit)
                 assert search.reduce(child, avail, (und, avail)) == self.expected(
                     g, child, avail, preserving

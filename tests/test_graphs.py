@@ -1,15 +1,32 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from domblocker import (
     GraphError,
     LabeledGraph,
+    PLAIN,
     VertexLabel,
     complete_graph,
     cycle_graph,
 )
+from domblocker.graphs import induced_subgraph
+from domblocker.smallgraphs import connected_graphs_upto
 
-from bruteforce import brute_gamma, contract_tracked, set_contraction
+from bruteforce import (
+    brute_gamma,
+    contract_tracked,
+    set_add_edge,
+    set_adjacency,
+    set_connected,
+    set_contract,
+    set_contraction,
+    set_edge_list,
+    set_induced,
+    set_relabel,
+)
 
 
 def is_cycle(g: LabeledGraph) -> bool:
@@ -159,3 +176,63 @@ class TestRelabel:
     def test_rejects_non_permutation(self, p4):
         with pytest.raises(GraphError):
             p4.relabel([0, 0, 1, 2])
+
+
+def assert_agrees(g: LabeledGraph, adj, labels):
+    """g answers every query as the neighbour sets adj and the labels say."""
+    n = len(adj)
+    assert g.n == n and g.labels == tuple(labels)
+    assert g.adj == adj
+    assert [g.degree(v) for v in range(n)] == [len(s) for s in adj]
+    assert g.max_degree() == max((len(s) for s in adj), default=0)
+    assert g.min_degree() == min((len(s) for s in adj), default=0)
+    # u = v included: a mask holds its own bit, but no vertex is its own neighbour
+    assert [[g.has_edge(u, v) for v in range(n)] for u in range(n)] == [
+        [v in adj[u] for v in range(n)] for u in range(n)
+    ]
+    assert g.edges() == set_edge_list(adj)
+    assert g.edge_count() == len(g.edges())
+    assert g.is_connected() == set_connected(adj)
+
+
+class TestMaskRepresentation:
+    """The closed masks are the representation: every constructor and
+    operation agrees with the set-based references of ``bruteforce``."""
+
+    def check(self, n, edges, rng):
+        labels = [VertexLabel("clause", clause=v) for v in range(n)]
+        adj = set_adjacency(n, edges)
+        g = LabeledGraph.from_edges(n, edges, labels)
+        assert_agrees(g, adj, labels)
+        for u, v in set_edge_list(adj):
+            merged = labels[:u] + [PLAIN] + labels[u + 1 : v] + labels[v + 1 :]
+            assert_agrees(g.contract_edge(v, u), set_contract(adj, u, v), merged)
+        for u, v in itertools.combinations(range(n), 2):
+            if v not in adj[u]:
+                assert_agrees(g.add_edge(v, u), set_add_edge(adj, u, v), labels)
+        perm = rng.sample(range(n), n)
+        moved = [None] * n
+        for v in range(n):
+            moved[perm[v]] = labels[v]
+        assert_agrees(g.relabel(perm), set_relabel(adj, perm), moved)
+        keep = [v for v in range(n) if rng.random() < 0.6]
+        assert_agrees(
+            induced_subgraph(g, reversed(keep)), set_induced(adj, keep), [labels[v] for v in keep]
+        )
+
+    def test_empty(self):
+        for n in range(5):
+            assert_agrees(LabeledGraph.empty(n), set_adjacency(n, ()), [PLAIN] * n)
+
+    def test_every_connected_graph_to_seven(self):
+        rng = random.Random(5)
+        for g in connected_graphs_upto(7):
+            self.check(g.n, g.edges(), rng)
+
+    def test_random_graphs(self):
+        # edges in any order, either orientation, repeated
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randrange(0, 10)
+            pairs = [rng.sample(range(n), 2) for _ in range(rng.randrange(3 * n + 1))] if n > 1 else []
+            self.check(n, pairs + pairs[: len(pairs) // 3], rng)

@@ -1,5 +1,7 @@
+import functools
 import random
 
+import networkx as nx
 import pytest
 
 from domblocker import (
@@ -15,9 +17,17 @@ from domblocker import (
     path_graph,
     star_graph,
 )
-from domblocker.smallgraphs import all_graphs
 
 from bruteforce import brute_has_claw, brute_has_induced_path, induced_is_path
+
+
+@functools.cache
+def all_graphs(n):
+    """Every graph on n <= 7 vertices, connected or not, one per isomorphism
+    class: the networkx graph atlas."""
+    return [
+        LabeledGraph.from_edges(n, h.edges()) for h in nx.graph_atlas_g() if h.number_of_nodes() == n
+    ]
 
 
 class TestClawFree:

@@ -8,7 +8,6 @@ from bruteforce import plain_extension_masks
 from domblocker import GraphError
 from domblocker.smallgraphs import (
     _canonical_masks,
-    all_graphs,
     connected_graphs,
     connected_graphs_upto,
     random_connected_graph,
@@ -45,32 +44,24 @@ class TestEnumeration:
         # known sequence of connected graphs up to isomorphism
         assert [len(connected_graphs(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
 
-    def test_all_counts(self):
-        assert [len(all_graphs(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
-
     def test_counts_match_reference_atlas(self):
         for n in range(1, 8):
             reference = _atlas(n)
-            assert len(all_graphs(n)) == len(reference)
             assert len(connected_graphs(n)) == sum(1 for g in reference if nx.is_connected(g))
 
     def test_members_connected_and_pairwise_nonisomorphic(self):
-        for listing in (connected_graphs, all_graphs):
-            for n in range(1, 8):
-                graphs = listing(n)
-                if listing is connected_graphs:
-                    assert all(g.is_connected() for g in graphs)
-                for bucket in _buckets(_to_nx(g) for g in graphs).values():
-                    for i in range(len(bucket)):
-                        for j in range(i + 1, len(bucket)):
-                            assert not nx.is_isomorphic(bucket[i], bucket[j])
+        for n in range(1, 8):
+            graphs = connected_graphs(n)
+            assert all(g.is_connected() for g in graphs)
+            for bucket in _buckets(_to_nx(g) for g in graphs).values():
+                for i in range(len(bucket)):
+                    for j in range(i + 1, len(bucket)):
+                        assert not nx.is_isomorphic(bucket[i], bucket[j])
 
     def test_every_atlas_class_has_a_representative(self):
         for n in range(1, 8):
-            everything = _buckets(_to_nx(g) for g in all_graphs(n))
             connected = _buckets(_to_nx(g) for g in connected_graphs(n))
             for ref in _atlas(n):
-                assert any(nx.is_isomorphic(ref, h) for h in everything[_invariant(ref)])
                 if nx.is_connected(ref):
                     assert any(nx.is_isomorphic(ref, h) for h in connected[_invariant(ref)])
 
@@ -78,14 +69,12 @@ class TestEnumeration:
         assert len(connected_graphs_upto(6)) == 143
 
     def test_counts_at_eight(self):
-        # OEIS A001349 and A000088 at n = 8
+        # OEIS A001349 at n = 8
         assert len(connected_graphs(8)) == 11117
-        assert len(all_graphs(8)) == 12346
 
-    @pytest.mark.parametrize("connected_only", [True, False])
-    def test_twin_skipping_lists_the_plain_extension(self, connected_only):
+    def test_twin_skipping_lists_the_plain_extension(self):
         for n in range(1, 8):
-            assert _canonical_masks(n, connected_only) == plain_extension_masks(n, connected_only)
+            assert _canonical_masks(n) == plain_extension_masks(n)
 
     def test_out_of_range(self):
         with pytest.raises(GraphError):
