@@ -5,15 +5,13 @@ to formula satisfiability, all with independent brute-force oracles."""
 from .graphs import (
     BudgetExceeded,
     GraphError,
-    InducedPathResult,
     LabeledGraph,
     PLAIN,
     VertexLabel,
     complete_graph,
     cycle_graph,
     find_claw,
-    is_claw_free,
-    is_pk_free,
+    find_induced_path,
     path_graph,
     prism_graph,
     star_graph,

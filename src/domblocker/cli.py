@@ -12,7 +12,6 @@ import json
 import sys
 
 import click
-from click.core import ParameterSource
 
 from . import reductions, smallgraphs, verify
 from .cnf import (
@@ -39,26 +38,8 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-class _EnvOption(click.Option):
-    """An option whose bad environment value is reported under the variable's
-    name, not under an option the user did not pass."""
-
-    def consume_value(self, ctx, opts):
-        value, source = super().consume_value(ctx, opts)
-        if source is ParameterSource.ENVIRONMENT:
-            try:
-                value = self.type_cast_value(ctx, value)
-            except click.BadParameter as exc:
-                raise click.BadParameter(exc.message, ctx, param_hint=self.envvar) from exc
-        return value, source
-
-
 _budget_option = click.option(
-    "--budget",
-    cls=_EnvOption,
-    type=click.IntRange(min=1),
-    envvar="DOMBLOCKER_BUDGET",
-    help="Search-node budget of the whole command (default: DOMBLOCKER_BUDGET).",
+    "--budget", type=click.IntRange(min=1), help="Search-node budget of the whole command."
 )
 
 
@@ -76,8 +57,11 @@ def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}")
 
 
 def _read_graph(path: str, fmt: str) -> LabeledGraph:
@@ -117,6 +101,8 @@ def cmd_gen(num_vars, flavor, clauses, seed, output):
     """Generate a random CNF instance as DIMACS."""
     try:
         if flavor == "1in3":
+            if clauses is not None:
+                raise click.UsageError("--clauses applies to --flavor 3sat only")
             formula = gen_1in3(num_vars, seed)
         else:
             if clauses is None:
@@ -235,7 +221,13 @@ def cmd_solve(input_path, fmt, what, budget, output):
     show_default=True,
     help="Exhaustive corpus size (contraction suite).",
 )
-@click.option("--random-count", type=int, default=200, show_default=True, help="Random corpus size (contraction suite).")
+@click.option(
+    "--random-count",
+    type=click.IntRange(min=0),
+    default=200,
+    show_default=True,
+    help="Random corpus size (contraction suite).",
+)
 @click.option("--seed", type=int, default=2024, show_default=True)
 @_budget_option
 @click.option("-o", "--output", default="-", show_default=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .graphs import LabeledGraph, VertexLabel, PLAIN
+from .graphs import GraphError, LabeledGraph, VertexLabel, PLAIN
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -64,7 +64,7 @@ def _decode_n(data: str) -> tuple[int, int]:
     return n, 8
 
 
-def emit_graph6(g: LabeledGraph, header: bool = False) -> str:
+def emit_graph6(g: LabeledGraph) -> str:
     """Encode the adjacency structure (labels are dropped)."""
     out = [_encode_n(g.n)]
     masks = g.closed_masks
@@ -79,8 +79,7 @@ def emit_graph6(g: LabeledGraph, header: bool = False) -> str:
         for b in bits[i : i + 6]:
             word = (word << 1) | b
         out.append(chr(word + 63))
-    text = "".join(out)
-    return GRAPH6_HEADER + text if header else text
+    return "".join(out)
 
 
 def parse_graph6(text: str) -> LabeledGraph:
@@ -120,48 +119,54 @@ def parse_graph6(text: str) -> LabeledGraph:
 # -- edge-list JSON ----------------------------------------------------------
 
 
-def graph_to_json_dict(g: LabeledGraph) -> dict:
+def emit_edge_list_json(g: LabeledGraph, indent: Optional[int] = None) -> str:
     d = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
     if any(lbl != PLAIN for lbl in g.labels):
         d["labels"] = [lbl.to_dict() for lbl in g.labels]
-    return d
+    return json.dumps(d, indent=indent, sort_keys=True)
 
 
-def emit_edge_list_json(g: LabeledGraph, indent: Optional[int] = None) -> str:
-    return json.dumps(graph_to_json_dict(g), indent=indent, sort_keys=True)
-
-
-def graph_from_json_dict(d: dict) -> LabeledGraph:
+def _label_from_json(pos: int, x) -> VertexLabel:
+    fields = ("var", "clause", "index", "source")
+    kind = x.get("kind", "plain") if isinstance(x, dict) else None
+    if not (
+        isinstance(kind, str)
+        and (kind == "plain" or kind in _KIND_NAME)
+        and all(x.get(f) is None or type(x[f]) is int for f in fields)
+    ):
+        raise FormatError(f"label #{pos} is not a label object: {x!r}")
     try:
-        n = d["n"]
-        raw_edges = d["edges"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"edge-list JSON missing field: {exc}") from exc
-    if not isinstance(n, int) or n < 0:
-        raise FormatError(f"bad vertex count {n!r}")
-    edges = []
-    for pos, e in enumerate(raw_edges):
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
-            raise FormatError(f"edge #{pos} is not a pair: {e!r}")
-        edges.append((e[0], e[1]))
-    labels = None
-    if "labels" in d:
-        raw = d["labels"]
-        if len(raw) != n:
-            raise FormatError(f"labels array has length {len(raw)}, expected {n}")
-        labels = [VertexLabel.from_dict(x) for x in raw]
-    try:
-        return LabeledGraph.from_edges(n, edges, labels)
+        return VertexLabel.from_dict(x)
     except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        raise FormatError(f"label #{pos}: {exc}") from exc
 
 
 def parse_edge_list_json(text: str) -> LabeledGraph:
+    """The graph of an edge-list JSON object; every malformed part is a
+    ``FormatError`` that names its position."""
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return graph_from_json_dict(d)
+    if not (isinstance(d, dict) and "n" in d and "edges" in d):
+        raise FormatError('edge-list JSON is not an object with fields "n" and "edges"')
+    n, raw_edges = d["n"], d["edges"]
+    if type(n) is not int or n < 0:
+        raise FormatError(f"bad vertex count {n!r}")
+    if not isinstance(raw_edges, list):
+        raise FormatError(f"edges is not an array: {raw_edges!r}")
+    for pos, e in enumerate(raw_edges):
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+            raise FormatError(f"edge #{pos} is not a pair of vertex numbers: {e!r}")
+    labels = d.get("labels")
+    if labels is not None:
+        if not isinstance(labels, list) or len(labels) != n:
+            raise FormatError(f"labels is not an array of length {n}")
+        labels = [_label_from_json(pos, x) for pos, x in enumerate(labels)]
+    try:
+        return LabeledGraph.from_edges(n, raw_edges, labels)
+    except GraphError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 # -- DOT ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Simple undirected labeled graphs with edge contraction and structural recognizers.
 
-Graphs are immutable values: every operation returns a new graph, so they are
-safe to share, hash and use as dict keys. Vertices are dense integers 0..n-1.
-Each vertex carries a :class:`VertexLabel` recording its role inside a built
-gadget graph (or ``PLAIN`` for ordinary vertices), which lets tests and tools
-address gadget vertices by role instead of by position.
+Graphs are immutable values: ``contract_edge`` and ``induced_subgraph``
+return new graphs, so graphs are safe to share, hash and use as dict keys.
+Vertices are dense integers 0..n-1. Each vertex carries a
+:class:`VertexLabel` recording its role inside a built gadget graph (or
+``PLAIN`` for ordinary vertices), which lets tests and tools address gadget
+vertices by role instead of by position.
 
 A graph is its closed-neighbourhood bitmasks: ``closed_masks[v]`` has bit w
 set iff w = v or vw is an edge. That is the form every search reads (the γ
@@ -15,7 +16,8 @@ the contracted tuple. Neighbour sets (``adj``) are a view decoded on first
 use, for callers that want sets; nothing in the package reads them. Sparse
 masks are walked with ``_bits`` and edges with ``_edges``, both in ascending
 order, so every walk visits vertices and edges in the order a sorted
-neighbour set would.
+neighbour set would. The recognizers ``find_claw`` and ``find_induced_path``
+return their witness, or None when the graph has none.
 """
 
 from __future__ import annotations
@@ -115,10 +117,6 @@ class LabeledGraph:
     labels: tuple[VertexLabel, ...]
 
     @staticmethod
-    def empty(n: int, labels: Optional[Iterable[VertexLabel]] = None) -> "LabeledGraph":
-        return LabeledGraph.from_edges(n, (), labels)
-
-    @staticmethod
     def from_edges(
         n: int,
         edges: Iterable[tuple[int, int]],
@@ -159,9 +157,6 @@ class LabeledGraph:
         """The neighbours of v, ascending."""
         return _bits(self.closed_masks[v] & ~(1 << v))
 
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return frozenset(_bits(self.closed_masks[v]))
-
     def degree(self, v: int) -> int:
         return self.closed_masks[v].bit_count() - 1
 
@@ -171,9 +166,6 @@ class LabeledGraph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v, in lexicographic order."""
         return list(_edges(self.closed_masks))
-
-    def edge_count(self) -> int:
-        return (sum(m.bit_count() for m in self.closed_masks) - self.n) // 2
 
     @cached_property
     def search_setup(self) -> SearchSetup:
@@ -195,19 +187,6 @@ class LabeledGraph:
 
     # -- pure operations ---------------------------------------------------
 
-    def add_edge(self, u: int, v: int) -> "LabeledGraph":
-        """Return the graph with edge {u,v} added (idempotent if present)."""
-        if u == v:
-            raise GraphError(f"self-loop ({u},{v}) not allowed")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
-        if self.has_edge(u, v):
-            return self
-        masks = list(self.closed_masks)
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-        return LabeledGraph(self.n, tuple(masks), self.labels)
-
     def contract_edge(self, u: int, v: int) -> "LabeledGraph":
         """Contract edge {u,v}: merge the endpoints into one vertex.
 
@@ -221,18 +200,6 @@ class LabeledGraph:
         u, v = min(u, v), max(u, v)
         labels = self.labels[:u] + (PLAIN,) + self.labels[u + 1 : v] + self.labels[v + 1 :]
         return LabeledGraph.from_closed_masks(contract_masks(self.closed_masks, u, v), labels)
-
-    def relabel(self, perm: list[int]) -> "LabeledGraph":
-        """Apply a vertex permutation: new vertex perm[v] is old vertex v."""
-        if sorted(perm) != list(range(self.n)):
-            raise GraphError("not a permutation")
-        masks = [0] * self.n
-        labels: list[VertexLabel] = [PLAIN] * self.n
-        for v, m in enumerate(self.closed_masks):
-            labels[perm[v]] = self.labels[v]
-            for w in _bits(m):
-                masks[perm[v]] |= 1 << perm[w]
-        return LabeledGraph(self.n, tuple(masks), tuple(labels))
 
     # -- predicates --------------------------------------------------------
 
@@ -349,38 +316,23 @@ def find_claw(g: LabeledGraph) -> Optional[tuple[int, int, int, int]]:
     return None
 
 
-def is_claw_free(g: LabeledGraph) -> bool:
-    return find_claw(g) is None
-
-
 # -- induced path recognition ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InducedPathResult:
-    """Outcome of an induced-path search.
-
-    status: "free" (no induced path on k vertices) or "found" (witness holds
-    the path, in order).
-    """
-
-    status: str
-    witness: Optional[tuple[int, ...]] = None
-
-
 def _no_tick() -> None:
-    """What ``is_pk_free`` calls per node when it is given no ``tick``."""
+    """What ``find_induced_path`` calls per node when it is given no ``tick``."""
 
 
-def is_pk_free(
+def find_induced_path(
     g: LabeledGraph, k: int, tick: Optional[Callable[[], None]] = None
-) -> InducedPathResult:
-    """Decide whether g has no induced path on k vertices, by DFS extension.
+) -> Optional[tuple[int, ...]]:
+    """Find an induced path on k vertices, by DFS extension: returns the path,
+    in order, or None when g has none.
 
-    "free" means no such path exists; "found" carries the path, in order, as
-    the counterexample witness. Grows simple paths one endpoint at a time,
-    pruning any extension adjacent to a non-tip path vertex (which would chord
-    the path). Every induced path is reached from each of its two endpoints,
+    Grows simple paths one endpoint at a time, pruning any extension
+    adjacent to a non-tip path vertex (which would chord the path). The same
+    shape as ``find_claw``: the path is the counterexample witness of a
+    P_k-free claim. Every induced path is reached from each of its two endpoints,
     so trying all start vertices is exhaustive. ``tick`` is called at every
     start vertex and extension attempt, so a ``GammaTable.tick`` counts them
     against the command's budget and its ``BudgetExceeded`` propagates.
@@ -388,7 +340,7 @@ def is_pk_free(
     if k < 1:
         raise GraphError(f"path length must be >= 1, got {k}")
     if g.n < k:
-        return InducedPathResult("free")
+        return None
     tick = tick or _no_tick
     masks = g.closed_masks
 
@@ -412,8 +364,8 @@ def is_pk_free(
         tick()
         found = extend([start], 1 << start)
         if found is not None:
-            return InducedPathResult("found", found)
-    return InducedPathResult("free")
+            return found
+    return None
 
 
 def induced_subgraph(g: LabeledGraph, vertices: Iterable[int]) -> LabeledGraph:

@@ -383,12 +383,6 @@ class P7ReductionMap:
     u_id: dict[int, int]
     clause_id: dict[int, int]
 
-    def triangle_vertices(self, x: int) -> frozenset[int]:
-        return frozenset({self.pos_id[x], self.neg_id[x], self.u_id[x]})
-
-    def clique(self) -> tuple[int, ...]:
-        return tuple(self.clause_id[c] for c in sorted(self.clause_id))
-
     def to_json_dict(self) -> dict:
         return {
             "target": "p7free",

@@ -99,8 +99,8 @@ from .graphs import (
     contract_masks,
     cycle_graph,
     find_claw,
+    find_induced_path,
     induced_subgraph,
-    is_pk_free,
     prism_graph,
 )
 from .smallgraphs import connected_graphs_upto, random_connected_graph, random_degree23_graph
@@ -379,7 +379,7 @@ def verify_triangle_construction(f: Formula3Sat, table: GammaTable) -> ClaimVerd
     try:
         result = table.solve(g)
         independent = all_independent_md(g, table)
-        p7 = is_pk_free(g, 7, tick=table.tick)
+        p7 = find_induced_path(g, 7, tick=table.tick)
     except BudgetExceeded as exc:
         return _skipped(claim, instance, exc)
     gamma = result.gamma
@@ -391,8 +391,8 @@ def verify_triangle_construction(f: Formula3Sat, table: GammaTable) -> ClaimVerd
         problems.append(f"sat={sat} but gamma={gamma} (|X|={f.num_vars})")
     if sat != independent.holds:
         problems.append(f"sat={sat} but all_independent={independent.holds}")
-    if p7.status != "free":
-        problems.append(f"induced 7-vertex path: {p7.witness}")
+    if p7 is not None:
+        problems.append(f"induced 7-vertex path: {p7}")
     if not independent.holds:
         problems += _counterexample_problems(g, gamma, independent.witness, is_independent)
     if sat:
@@ -410,7 +410,7 @@ def verify_triangle_construction(f: Formula3Sat, table: GammaTable) -> ClaimVerd
         claim,
         instance,
         ok,
-        f"sat={sat} gamma={gamma} all_independent={independent.holds} p7_free={p7.status == 'free'}",
+        f"sat={sat} gamma={gamma} all_independent={independent.holds} p7_free={p7 is None}",
         {"problems": problems} if problems else None,
     )
 

@@ -73,10 +73,6 @@ def set_connected(adj) -> bool:
     return len(seen) == len(adj)
 
 
-def set_add_edge(adj, u, v):
-    return tuple(s | {v} if w == u else s | {u} if w == v else s for w, s in enumerate(adj))
-
-
 def set_contract(adj, u, v):
     """Contract edge {u, v}, u < v: the merged vertex keeps u's slot and is
     adjacent to N(u) | N(v) less both ends; v goes, and every vertex above v

@@ -48,6 +48,11 @@ class TestGen:
         assert result.exit_code == 0
         assert result.output.startswith("p cnf 4 5")
 
+    def test_clauses_with_1in3_flavor_usage_error(self, runner):
+        result = runner.invoke(main, ["gen", "-n", "4", "--flavor", "1in3", "--clauses", "7"])
+        assert result.exit_code == 2
+        assert "--clauses" in result.output
+
 
 class TestBuild:
     def test_subcubic_from_stdin(self, runner):
@@ -166,27 +171,6 @@ class TestSolve:
         )
         assert result.exit_code == 3
 
-    def test_budget_env_var(self, runner):
-        from domblocker import build_subcubic, unsatisfiable_fixture
-
-        g, _ = build_subcubic(unsatisfiable_fixture())
-        result = runner.invoke(
-            main,
-            ["solve", "--what", "gamma"],
-            input=emit_graph6(g) + "\n",
-            env={"DOMBLOCKER_BUDGET": "1"},
-        )
-        assert result.exit_code == 3
-
-    @pytest.mark.parametrize("command", [["solve", "--what", "gamma"], ["verify", "subcubic"]])
-    @pytest.mark.parametrize("raw", ["0", "abc"])
-    def test_bad_budget_env_var_usage_error(self, runner, command, raw):
-        result = runner.invoke(main, command, input="Dhc\n", env={"DOMBLOCKER_BUDGET": raw})
-        assert result.exit_code == 2
-        # the error names the variable that held the value, not the option
-        assert "Invalid value for DOMBLOCKER_BUDGET" in result.output
-        assert "--budget" not in result.output.splitlines()[-1]
-
     @pytest.mark.parametrize("what, budget", [("ct", "50"), ("blocker", "1000")])
     def test_budget_bounds_the_whole_command(self, runner, what, budget):
         # the γ solve and each forced-set solve of ct_gamma fit either budget
@@ -210,6 +194,28 @@ class TestSolve:
             input='{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}',
         )
         assert json.loads(result.output)["gamma"] == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [["solve", "--what", "gamma", "--format", "json"], ["build", "--target", "clawfree", "--format", "json"]],
+    )
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('{"n": 2, "edges": [["a", 1]]}', "edge #0"),
+            ('{"n": 2, "edges": [[0, 1], [1, 1]]}', "self-loop"),
+            ('{"n": 2, "edges": 3}', "edges is not an array"),
+            ('{"n": 2, "edges": [], "labels": 5}', "labels is not an array"),
+            ('{"n": 2, "edges": [], "labels": [1, 2]}', "label #0"),
+            ('{"n": 2, "edges": [], "labels": [{}, {"kind": "clause", "clause": "c"}]}', "label #1"),
+            ('{"n": 2, "edges": [], "labels": [{}, {"kind": "cycle"}]}', "label #1"),
+            ('{"n": 2, "edges": [], "labels": [{}, {"kind": "port", "index": 7}]}', "label #1"),
+        ],
+    )
+    def test_malformed_edge_list_json_usage_error(self, runner, command, text, where):
+        result = runner.invoke(main, command, input=text)
+        assert result.exit_code == 2
+        assert "bad json input" in result.output and where in result.output
 
 
 class TestExport:
@@ -259,8 +265,31 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "unknown-suite"])
         assert result.exit_code == 2
 
+    def test_negative_random_count_usage_error(self, runner):
+        result = runner.invoke(main, ["verify", "contraction", "--random-count", "-5"])
+        assert result.exit_code == 2
+        assert "x>=0" in result.output
+
     @pytest.mark.parametrize("max_n", ["0", "9"])
     def test_max_n_out_of_range_usage_error(self, runner, max_n):
         result = runner.invoke(main, ["verify", "contraction", "--max-n", max_n])
         assert result.exit_code == 2
         assert "1<=x<=8" in result.output
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "args, stdin",
+        [
+            (["solve", "--what", "gamma", "-o", "{bad}"], "Dhc\n"),
+            (["verify", "subcubic", "-o", "{bad}"], ""),
+            (["build", "--target", "subcubic", "-o", "-", "--map", "{bad}"], None),
+        ],
+    )
+    def test_usage_error_not_traceback(self, runner, tmp_path, args, stdin):
+        bad = str(tmp_path / "missing" / "x.json")
+        if stdin is None:
+            stdin = emit_dimacs_cnf(satisfiable_fixture())
+        result = runner.invoke(main, [a.format(bad=bad) for a in args], input=stdin)
+        assert result.exit_code == 2
+        assert f"cannot write {bad}" in result.output

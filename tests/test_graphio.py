@@ -71,7 +71,6 @@ class TestGraph6:
     def test_header_accepted(self):
         g = cycle_graph(5)
         assert parse_graph6(">>graph6<<" + emit_graph6(g)).edges() == g.edges()
-        assert emit_graph6(g, header=True).startswith(">>graph6<<")
 
     def test_large_build_round_trips_identically(self):
         base, _ = build_subcubic(satisfiable_fixture())
@@ -145,7 +144,7 @@ class TestDot:
         assert "palegreen" in dot  # true vertices
         assert "lightskyblue" in dot  # clause vertices
         assert f"{g.n - 1} " in dot
-        assert dot.count(" -- ") == g.edge_count()
+        assert dot.count(" -- ") == len(g.edges())
 
     def test_plain_graph(self):
         dot = emit_dot(cycle_graph(3), name="tri")

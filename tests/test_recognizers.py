@@ -12,8 +12,7 @@ from domblocker import (
     complete_graph,
     cycle_graph,
     find_claw,
-    is_claw_free,
-    is_pk_free,
+    find_induced_path,
     path_graph,
     star_graph,
 )
@@ -33,20 +32,19 @@ def all_graphs(n):
 class TestClawFree:
     def test_star_is_the_claw(self):
         g = star_graph(3)
-        assert not is_claw_free(g)
         assert set(find_claw(g)) == {0, 1, 2, 3}
 
     def test_max_degree_two_always_claw_free(self):
         for g in (cycle_graph(5), path_graph(6), cycle_graph(3)):
-            assert is_claw_free(g)
+            assert find_claw(g) is None
 
     def test_complete_graphs(self):
-        assert is_claw_free(complete_graph(5))
+        assert find_claw(complete_graph(5)) is None
 
     def test_agrees_with_brute_force_up_to_six(self):
         for n in range(1, 7):
             for g in all_graphs(n):
-                assert is_claw_free(g) == (not brute_has_claw(g))
+                assert (find_claw(g) is not None) == brute_has_claw(g)
 
     def test_agrees_with_brute_force_on_random_seven(self):
         rng = random.Random(7)
@@ -58,22 +56,20 @@ class TestClawFree:
                 if rng.random() < 0.4
             ]
             g = LabeledGraph.from_edges(7, edges)
-            assert is_claw_free(g) == (not brute_has_claw(g))
+            assert (find_claw(g) is not None) == brute_has_claw(g)
 
 
 class TestInducedPath:
     def test_p7_contains_itself(self):
-        result = is_pk_free(path_graph(7), 7)
-        assert result.status == "found"
-        assert induced_is_path(path_graph(7), result.witness)
+        path = find_induced_path(path_graph(7), 7)
+        assert path is not None and induced_is_path(path_graph(7), path)
 
     def test_c6_has_no_seven_vertices(self):
-        assert is_pk_free(cycle_graph(6), 7).status == "free"
+        assert find_induced_path(cycle_graph(6), 7) is None
 
     def test_cycle_contains_shorter_paths(self):
-        result = is_pk_free(cycle_graph(6), 5)
-        assert result.status == "found"
-        assert len(result.witness) == 5
+        path = find_induced_path(cycle_graph(6), 5)
+        assert path is not None and len(path) == 5
 
     def test_found_witness_is_induced_path(self):
         rng = random.Random(3)
@@ -87,17 +83,15 @@ class TestInducedPath:
             ]
             g = LabeledGraph.from_edges(n, edges)
             for k in range(2, n + 1):
-                result = is_pk_free(g, k)
-                if result.status == "found":
-                    assert induced_is_path(g, result.witness)
+                path = find_induced_path(g, k)
+                if path is not None:
+                    assert induced_is_path(g, path)
 
     def test_agrees_with_brute_force_up_to_six(self):
         for n in range(1, 7):
             for g in all_graphs(n):
                 for k in range(1, 8):
-                    result = is_pk_free(g, k)
-                    assert result.status in ("free", "found")
-                    assert (result.status == "free") == (not brute_has_induced_path(g, k))
+                    assert (find_induced_path(g, k) is not None) == brute_has_induced_path(g, k)
 
     def test_agrees_with_brute_force_on_random_seven(self):
         rng = random.Random(17)
@@ -110,19 +104,17 @@ class TestInducedPath:
             ]
             g = LabeledGraph.from_edges(7, edges)
             for k in (4, 5, 6, 7):
-                assert (is_pk_free(g, k).status == "free") == (
-                    not brute_has_induced_path(g, k)
-                )
+                assert (find_induced_path(g, k) is not None) == brute_has_induced_path(g, k)
 
     def test_budget_exhaustion_is_reported_not_wrong(self):
         g = complete_graph(9)  # many length-2 extensions, no long induced paths
         with pytest.raises(BudgetExceeded):
-            is_pk_free(g, 4, tick=GammaTable(5).tick)
+            find_induced_path(g, 4, tick=GammaTable(5).tick)
 
     def test_bad_arguments(self):
         with pytest.raises(GraphError):
-            is_pk_free(path_graph(3), 0)
+            find_induced_path(path_graph(3), 0)
 
     def test_single_vertex_path(self):
-        assert is_pk_free(LabeledGraph.empty(0), 1).status == "free"
-        assert is_pk_free(LabeledGraph.empty(1), 1).status == "found"
+        assert find_induced_path(LabeledGraph.from_edges(0, ()), 1) is None
+        assert find_induced_path(LabeledGraph.from_edges(1, ()), 1) == (0,)

@@ -17,11 +17,10 @@ from domblocker import (
     domination_number,
     enumerate_minimum_dominating_sets,
     find_claw,
-    is_claw_free,
+    find_induced_path,
     is_dominating,
     is_efficient,
     is_independent,
-    is_pk_free,
     lift_dominating_set,
     mds_to_assignment_p7,
     mds_to_assignment_subcubic,
@@ -35,7 +34,7 @@ from domblocker import (
 )
 from domblocker.smallgraphs import random_degree23_graph
 
-from bruteforce import brute_gamma, dominates
+from bruteforce import brute_gamma, closed_neighborhood, dominates
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +157,7 @@ class TestSubcubicGamma:
         g, rmap = sat_build
         for x in (1, 2, 3):
             hoods = [
-                g.closed_neighborhood(u) for u in rmap.cycle_u_ids[x].values()
+                closed_neighborhood(g, u) for u in rmap.cycle_u_ids[x].values()
             ]
             assert all(h <= rmap.gadget_vertices(x) for h in hoods)
             for a, b in itertools.combinations(hoods, 2):
@@ -209,14 +208,14 @@ class TestBuildClawfree:
     def test_c5_blowup(self):
         target, rmap = build_clawfree(cycle_graph(5))
         assert target.n == 35
-        assert is_claw_free(target)
+        assert find_claw(target) is None
         assert target.max_degree() == 2  # all-degree-2 source: one long cycle
         assert target.is_connected()
 
     def test_k4_blowup(self):
         target, rmap = build_clawfree(complete_graph(4))
         assert target.n == 72
-        assert is_claw_free(target) and target.is_subcubic()
+        assert find_claw(target) is None and target.is_subcubic()
         assert target.min_degree() == 2
 
     def test_subcubic_output_blowup_structure(self, sat_build):
@@ -224,7 +223,7 @@ class TestBuildClawfree:
         target, rmap = build_clawfree(g)
         assert len(rmap.v3_list) == 30 and len(rmap.v2_list) == 18
         assert target.n == 18 * 30 + 7 * 18 == 666
-        assert is_claw_free(target)
+        assert find_claw(target) is None
         assert target.is_subcubic() and target.is_connected()
         assert target.min_degree() == 2
 
@@ -273,7 +272,6 @@ class TestBuildClawfree:
             next(iter(target.adj[rmap.ids[0][f"v{j}"]] - gadget)) for j in (1, 2, 3)
         }
         sub = induced_subgraph(target, gadget | pendants)
-        assert is_claw_free(sub)
         assert find_claw(sub) is None
 
     def test_rejects_bad_degrees(self):
@@ -380,7 +378,7 @@ class TestBuildP7Free:
         f = Formula3Sat.make(3, [(1, 2, -3)])
         g, rmap = build_p7free(f)
         assert g.n == 10 == 3 * 3 + 1
-        assert is_pk_free(g, 7).status == "free"
+        assert find_induced_path(g, 7) is None
         assert domination_number(g).gamma == 3
         assert g.is_connected()
 
@@ -391,7 +389,7 @@ class TestBuildP7Free:
         ]
         g, rmap = build_p7free(Formula3Sat.make(3, clauses))
         assert domination_number(g).gamma >= 4
-        assert is_pk_free(g, 7).status == "free"
+        assert find_induced_path(g, 7) is None
 
     def test_disjoint_variable_clauses_connect_through_clique(self):
         f = Formula3Sat.make(6, [(1, 2, 3), (4, 5, 6)])
@@ -403,10 +401,10 @@ class TestBuildP7Free:
         f = Formula3Sat.make(4, [(1, 2, 3), (-1, -2, 4), (1, -3, -4)])
         g, rmap = build_p7free(f)
         for x in range(1, 5):
-            tri = sorted(rmap.triangle_vertices(x))
+            tri = (rmap.pos_id[x], rmap.neg_id[x], rmap.u_id[x])
             for a, b in itertools.combinations(tri, 2):
                 assert g.has_edge(a, b)
-        for a, b in itertools.combinations(rmap.clique(), 2):
+        for a, b in itertools.combinations(rmap.clause_id.values(), 2):
             assert g.has_edge(a, b)
 
     def test_clause_edges_reach_correct_literals(self):
