@@ -8,7 +8,9 @@ Machine output is JSON; exit codes: 0 success/pass, 1 fail or counterexample,
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import sys
 
 import click
@@ -21,7 +23,7 @@ from .cnf import (
     gen_3sat,
     parse_dimacs_cnf,
 )
-from .domination import BudgetExceeded, GammaTable, blocker_report, ct_gamma, domination_number
+from .domination import BudgetExceeded, GammaTable, blocker_report, ct_gamma
 from .domination import all_efficient_md, all_independent_md, one_contraction_decision
 from .graphio import (
     FormatError,
@@ -64,6 +66,23 @@ def _write_text(path: str, text: str) -> None:
         raise click.UsageError(f"cannot write {path}: {exc}")
 
 
+def _check_writable(path: str) -> None:
+    """Fail as ``_write_text`` would, before any search runs: the path is a
+    directory, its directory is missing, or it is not writable. The check
+    creates no file and truncates none."""
+    if path == "-":
+        return
+    directory = os.path.dirname(path) or "."
+    code = (
+        errno.EISDIR if os.path.isdir(path)
+        else errno.ENOENT if not os.path.isdir(directory)
+        else 0 if os.access(path if os.path.exists(path) else directory, os.W_OK)
+        else errno.EACCES
+    )
+    if code:
+        raise click.UsageError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
+
+
 def _read_graph(path: str, fmt: str) -> LabeledGraph:
     text = _read_text(path)
     try:
@@ -73,17 +92,14 @@ def _read_graph(path: str, fmt: str) -> LabeledGraph:
             return parse_edge_list_json(text)
     except FormatError as exc:
         raise click.UsageError(f"bad {fmt} input: {exc}")
-    raise click.UsageError(f"unsupported graph input format {fmt!r}")
 
 
 def _emit_graph(g: LabeledGraph, fmt: str) -> str:
     if fmt == "graph6":
         return emit_graph6(g) + "\n"
     if fmt == "json":
-        return emit_edge_list_json(g, indent=2) + "\n"
-    if fmt == "dot":
-        return emit_dot(g)
-    raise click.UsageError(f"unsupported graph output format {fmt!r}")
+        return emit_edge_list_json(g) + "\n"
+    return emit_dot(g)
 
 
 @click.group()
@@ -129,10 +145,8 @@ def cmd_gen(num_vars, flavor, clauses, seed, output):
     help="Input format (default: dimacs for formula targets, graph6 for clawfree).",
 )
 @click.option("-o", "--output", default="-", show_default=True)
-@click.option("--emit-dot", "dot_path", default=None, help="Also write a DOT rendering here.")
-@click.option("--emit-graph6", "g6_path", default=None, help="Also write graph6 here.")
 @click.option("--map", "map_path", default=None, help="Reduction-map sidecar path (default: <output>.map.json).")
-def cmd_build(target, input_path, fmt, output, dot_path, g6_path, map_path):
+def cmd_build(target, input_path, fmt, output, map_path):
     """Compile a formula (or degree-{2,3} graph) into a gadget graph."""
     accepted = ("graph6", "json") if target == "clawfree" else ("dimacs",)
     if fmt is not None and fmt not in accepted:
@@ -151,15 +165,11 @@ def cmd_build(target, input_path, fmt, output, dot_path, g6_path, map_path):
             graph, rmap = reductions.build_clawfree(source)
     except (CnfError, FormatError, reductions.ReductionError, GraphError) as exc:
         raise click.UsageError(str(exc))
-    _write_text(output, emit_edge_list_json(graph, indent=2) + "\n")
+    _write_text(output, _emit_graph(graph, "json"))
     if map_path is None and output != "-":
         map_path = output + ".map.json"
     if map_path:
         _write_text(map_path, json.dumps(rmap.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    if dot_path:
-        _write_text(dot_path, emit_dot(graph))
-    if g6_path:
-        _write_text(g6_path, emit_graph6(graph) + "\n")
 
 
 @main.command("solve")
@@ -175,22 +185,19 @@ def cmd_build(target, input_path, fmt, output, dot_path, g6_path, map_path):
 @click.option("-o", "--output", default="-", show_default=True)
 def cmd_solve(input_path, fmt, what, budget, output):
     """Solve domination/blocker questions for a graph, reporting JSON."""
+    _check_writable(output)
     g = _read_graph(input_path, fmt)
     table = GammaTable(budget)
     try:
         if what == "gamma":
-            result = domination_number(g, table)
+            result = table.solve(g)
             payload = {"gamma": result.gamma, "witness": sorted(result.witness)}
         elif what == "ct":
             payload = {"ct_gamma": ct_gamma(g, table)}
-        elif what == "all-efficient":
-            decision = all_efficient_md(g, table)
-            payload = {"all_efficient": "yes" if decision.holds else "no"}
-            if not decision.holds:
-                payload["witness"] = sorted(decision.witness)
-        elif what == "all-independent":
-            decision = all_independent_md(g, table)
-            payload = {"all_independent": "yes" if decision.holds else "no"}
+        elif what in ("all-efficient", "all-independent"):
+            decide = all_efficient_md if what == "all-efficient" else all_independent_md
+            decision = decide(g, table)
+            payload = {what.replace("-", "_"): "yes" if decision.holds else "no"}
             if not decision.holds:
                 payload["witness"] = sorted(decision.witness)
         elif what == "one-contraction":
@@ -199,17 +206,15 @@ def cmd_solve(input_path, fmt, what, budget, output):
             if decision.holds:
                 payload["witness_edge"] = list(decision.witness)
         else:
-            report = blocker_report(g, table)
-            payload = report.to_json_dict()
-            if payload.get("ct_gamma") == "unknown":
-                _write_text(output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-                sys.exit(EXIT_BUDGET)
+            payload = blocker_report(g, table).to_json_dict()
     except GraphError as exc:
         raise click.UsageError(str(exc))
     except BudgetExceeded as exc:
         click.echo(f"budget exceeded: {exc}", err=True)
         sys.exit(EXIT_BUDGET)
     _write_text(output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if payload.get("ct_gamma") == "unknown":
+        sys.exit(EXIT_BUDGET)
 
 
 @main.command("verify")
@@ -233,6 +238,7 @@ def cmd_solve(input_path, fmt, what, budget, output):
 @click.option("-o", "--output", default="-", show_default=True)
 def cmd_verify(suite, max_n, random_count, seed, budget, output):
     """Run a verification suite; exit 0 only if every check passes."""
+    _check_writable(output)
     table = GammaTable(budget)
     verdicts = [
         v.to_json_dict() for v in verify.run_suite(suite, max_n, random_count, seed, table)

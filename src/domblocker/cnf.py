@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .graphs import LabeledGraph
+
 Assignment = tuple[bool, ...]
 
 BRUTE_FORCE_VAR_LIMIT = 30
@@ -61,7 +63,7 @@ class Formula3Sat:
 
 def validate_1in3(f: Formula1in3) -> list[str]:
     """All invariant violations, empty when the formula is well-formed."""
-    problems = []
+    problems = [] if f.num_vars > 0 else ["the formula has no variables"]
     counts = {x: 0 for x in range(1, f.num_vars + 1)}
     for i, clause in enumerate(f.clauses):
         if len(set(clause)) != 3:
@@ -135,23 +137,10 @@ def solve_3sat_brute(f: Formula3Sat) -> Optional[Assignment]:
 
 
 def incidence_connected(num_vars: int, clauses) -> bool:
-    # variables and clauses as one bipartite union-find-ish BFS
-    adj: dict = {("v", x): set() for x in range(1, num_vars + 1)}
-    for i, clause in enumerate(clauses):
-        adj[("c", i)] = set()
-        for x in clause:
-            adj[("c", i)].add(("v", x))
-            adj[("v", x)].add(("c", i))
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for other in adj[node]:
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return len(seen) == len(adj)
+    """Is the variable/clause incidence graph connected? Variable x is its
+    vertex x - 1 and clause i its vertex num_vars + i."""
+    edges = [(x - 1, num_vars + i) for i, clause in enumerate(clauses) for x in clause]
+    return LabeledGraph.from_edges(num_vars + len(clauses), edges).is_connected()
 
 
 def gen_1in3(num_vars: int, seed: int) -> Formula1in3:
@@ -230,6 +219,8 @@ def parse_dimacs_cnf(text: str, flavor: str = "3sat") -> Formula1in3 | Formula3S
                 declared_clauses = int(parts[3])
             except ValueError:
                 raise CnfError(f"line {lineno}: non-numeric counts in problem line") from None
+            if num_vars < 0 or declared_clauses < 0:
+                raise CnfError(f"line {lineno}: negative count in problem line")
             continue
         if num_vars is None:
             raise CnfError(f"line {lineno}: clause data before the problem line")

@@ -9,7 +9,6 @@ Labels do not survive graph6; the edge-list JSON form carries them losslessly.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .graphs import GraphError, LabeledGraph, VertexLabel, PLAIN
 
@@ -119,19 +118,18 @@ def parse_graph6(text: str) -> LabeledGraph:
 # -- edge-list JSON ----------------------------------------------------------
 
 
-def emit_edge_list_json(g: LabeledGraph, indent: Optional[int] = None) -> str:
+def emit_edge_list_json(g: LabeledGraph) -> str:
     d = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
     if any(lbl != PLAIN for lbl in g.labels):
         d["labels"] = [lbl.to_dict() for lbl in g.labels]
-    return json.dumps(d, indent=indent, sort_keys=True)
+    return json.dumps(d, indent=2, sort_keys=True)
 
 
 def _label_from_json(pos: int, x) -> VertexLabel:
     fields = ("var", "clause", "index", "source")
     kind = x.get("kind", "plain") if isinstance(x, dict) else None
     if not (
-        isinstance(kind, str)
-        and (kind == "plain" or kind in _KIND_NAME)
+        isinstance(kind, str) and kind in _KINDS
         and all(x.get(f) is None or type(x[f]) is int for f in fields)
     ):
         raise FormatError(f"label #{pos} is not a label object: {x!r}")
@@ -171,47 +169,31 @@ def parse_edge_list_json(text: str) -> LabeledGraph:
 
 # -- DOT ----------------------------------------------------------------------
 
-_KIND_COLOR = {
-    "true": "palegreen",
-    "false": "lightcoral",
-    "cycle_u": "lightgray",
-    "clause": "lightskyblue",
-    "variable": "orange",
-    "l": "plum",
-    "port": "cyan",
-    "gadget_u": "wheat",
-    "gadget_w": "khaki",
-    "gadget_a": "mistyrose",
-    "gadget_b": "thistle",
-    "gadget_c": "lightcyan",
-    "pos_literal": "palegreen",
-    "neg_literal": "lightcoral",
-    "triangle_u": "lightgray",
-}
-
-_KIND_NAME = {
-    "true": "T",
-    "false": "F",
-    "cycle_u": "u",
-    "clause": "c",
-    "variable": "x",
-    "l": "l",
-    "port": "v",
-    "gadget_u": "u",
-    "gadget_w": "w",
-    "gadget_a": "a",
-    "gadget_b": "b",
-    "gadget_c": "c",
-    "pos_literal": "x",
-    "neg_literal": "~x",
-    "triangle_u": "u",
+# every label kind the JSON form accepts, with its name and fill colour in DOT
+# (a plain vertex shows its number)
+_KINDS = {
+    "plain": ("", "white"),
+    "true": ("T", "palegreen"),
+    "false": ("F", "lightcoral"),
+    "cycle_u": ("u", "lightgray"),
+    "clause": ("c", "lightskyblue"),
+    "variable": ("x", "orange"),
+    "l": ("l", "plum"),
+    "port": ("v", "cyan"),
+    "gadget_u": ("u", "wheat"),
+    "gadget_w": ("w", "khaki"),
+    "gadget_a": ("a", "mistyrose"),
+    "gadget_b": ("b", "thistle"),
+    "gadget_c": ("c", "lightcyan"),
+    "pos_literal": ("x", "palegreen"),
+    "neg_literal": ("~x", "lightcoral"),
+    "triangle_u": ("u", "lightgray"),
 }
 
 
 def _label_text(v: int, lbl: VertexLabel) -> str:
     if lbl.kind == "plain":
         return str(v)
-    base = _KIND_NAME[lbl.kind]
     parts = []
     if lbl.var is not None:
         parts.append(f"x{lbl.var}")
@@ -221,15 +203,13 @@ def _label_text(v: int, lbl: VertexLabel) -> str:
         parts.append(f"s{lbl.source}")
     if lbl.index is not None:
         parts.append(str(lbl.index))
-    return f"{base}[{','.join(parts)}] #{v}"
+    return f"{_KINDS[lbl.kind][0]}[{','.join(parts)}] #{v}"
 
 
-def emit_dot(g: LabeledGraph, name: str = "G") -> str:
-    lines = [f"graph {name} {{", "  node [style=filled];"]
-    for v in range(g.n):
-        lbl = g.labels[v]
-        color = _KIND_COLOR.get(lbl.kind, "white")
-        lines.append(f'  {v} [label="{_label_text(v, lbl)}", fillcolor="{color}"];')
+def emit_dot(g: LabeledGraph) -> str:
+    lines = ["graph G {", "  node [style=filled];"]
+    for v, lbl in enumerate(g.labels):
+        lines.append(f'  {v} [label="{_label_text(v, lbl)}", fillcolor="{_KINDS[lbl.kind][1]}"];')
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

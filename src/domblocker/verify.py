@@ -430,13 +430,7 @@ def _equivalences(claim, name, g, table) -> Optional[ClaimVerdict]:
         characterized = one_contraction_decision(g, table)
         independent = all_independent_md(g, table)
         gamma = table.solve(g).gamma
-        witness_ok = True
-        if characterized.holds:
-            u, v = characterized.witness
-            witness_ok = (
-                g.has_edge(u, v)
-                and table.solve_masks(contract_masks(g.closed_masks, u, v)).gamma < gamma
-            )
+        witness_ok = not characterized.holds or _lowers(g, gamma, [characterized.witness], table)
     except BudgetExceeded as exc:
         return _skipped(claim, name, exc)
     agree = definitional == characterized.holds == (not independent.holds)
@@ -462,14 +456,16 @@ def _equivalences(claim, name, g, table) -> Optional[ClaimVerdict]:
     )
 
 
-def _replay(masks: tuple[int, ...], edges) -> Optional[tuple[int, ...]]:
-    """The closed masks left by contracting edges in turn, or None when one
-    of them is not an edge (u, v), u < v, of the graph it is contracted in."""
+def _lowers(g: LabeledGraph, gamma: int, edges, table: GammaTable) -> bool:
+    """Does contracting edges in turn leave a graph of domination number
+    below gamma? False when one of them is not an edge (u, v), u < v, of the
+    graph it is contracted in."""
+    masks = g.closed_masks
     for u, v in edges:
         if not (u < v < len(masks) and masks[u] >> v & 1):
-            return None
+            return False
         masks = contract_masks(masks, u, v)
-    return masks
+    return table.solve_masks(masks).gamma < gamma
 
 
 def _bound(claim, name, g, table) -> Optional[ClaimVerdict]:
@@ -482,8 +478,7 @@ def _bound(claim, name, g, table) -> Optional[ClaimVerdict]:
         gamma = table.solve(g).gamma
         ct = ct_gamma(g, table)
         definitional, edges = ct_definitional(g, table)
-        masks = _replay(g.closed_masks, edges)
-        lowered = masks is not None and table.solve_masks(masks).gamma < gamma
+        lowered = _lowers(g, gamma, edges, table)
     except BudgetExceeded as exc:
         return _skipped(claim, name, exc)
     valid = ct == CT_IMPOSSIBLE if gamma == 1 else ct in (1, 2, 3)
@@ -587,25 +582,25 @@ def suite_clawfree(seed: int, table: GammaTable) -> list[ClaimVerdict]:
     return verdicts
 
 
+# the eight clauses on the variables 1, 2, 3, one per sign pattern
+_THREE_VAR_CLAUSES = [
+    tuple(s * v for s, v in zip(pattern, (1, 2, 3))) for pattern in itertools.product((1, -1), repeat=3)
+]
+
+
 def all_three_var_formulas() -> list[Formula3Sat]:
     """Every 3-SAT formula on exactly the variables {1,2,3} with at most four
     distinct clauses (all clauses use all three variables)."""
-    signs = list(itertools.product((1, -1), repeat=3))
-    pool = [tuple(s * v for s, v in zip(pattern, (1, 2, 3))) for pattern in signs]
-    formulas = []
-    for k in range(1, 5):
-        for combo in itertools.combinations(pool, k):
-            formulas.append(Formula3Sat.make(3, combo))
-    return formulas
+    return [
+        Formula3Sat.make(3, combo)
+        for k in range(1, 5)
+        for combo in itertools.combinations(_THREE_VAR_CLAUSES, k)
+    ]
 
 
 def eight_pattern_formula() -> Formula3Sat:
     """All eight sign patterns over three variables; plainly unsatisfiable."""
-    pool = [
-        tuple(s * v for s, v in zip(pattern, (1, 2, 3)))
-        for pattern in itertools.product((1, -1), repeat=3)
-    ]
-    return Formula3Sat.make(3, pool)
+    return Formula3Sat.make(3, _THREE_VAR_CLAUSES)
 
 
 def suite_p7(table: GammaTable) -> list[ClaimVerdict]:

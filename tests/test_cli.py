@@ -5,13 +5,24 @@ import pytest
 from click.testing import CliRunner
 
 from domblocker import (
+    all_efficient_md,
+    all_independent_md,
+    blocker_report,
+    build_subcubic,
+    ct_gamma,
     cycle_graph,
+    domination,
+    domination_number,
     emit_dimacs_cnf,
+    emit_dot,
     emit_graph6,
+    one_contraction_decision,
     parse_dimacs_cnf,
+    parse_edge_list_json,
     path_graph,
     satisfiable_fixture,
     validate_1in3,
+    verify,
 )
 from domblocker.cli import main
 
@@ -99,23 +110,20 @@ class TestBuild:
         assert f"accepted: {accepted}" in result.output
 
     def test_sidecars(self, runner, tmp_path):
+        # the map sidecar comes with the build; DOT and graph6 come from export
+        # of the build's JSON, which keeps the labels
         out = tmp_path / "g.json"
-        dot = tmp_path / "g.dot"
-        g6 = tmp_path / "g.g6"
         result = runner.invoke(
-            main,
-            [
-                "build", "--target", "subcubic",
-                "-o", str(out), "--emit-dot", str(dot), "--emit-graph6", str(g6),
-            ],
-            input=emit_dimacs_cnf(satisfiable_fixture()),
+            main, ["build", "--target", "subcubic", "-o", str(out)], input=emit_dimacs_cnf(satisfiable_fixture())
         )
         assert result.exit_code == 0
-        assert json.loads(out.read_text())["n"] == 48
         sidecar = json.loads((tmp_path / "g.json.map.json").read_text())
         assert sidecar["target"] == "subcubic"
-        assert dot.read_text().startswith("graph G {")
-        assert g6.read_text().strip()
+        g, _ = build_subcubic(satisfiable_fixture())
+        for fmt, expected in (("dot", emit_dot(g)), ("graph6", emit_graph6(g) + "\n")):
+            exported = runner.invoke(main, ["export", "--from", "json", "--to", fmt, "-i", str(out)])
+            assert exported.exit_code == 0
+            assert exported.stdout == expected
 
     def test_unknown_target(self, runner):
         result = runner.invoke(main, ["build", "--target", "octagonal"], input="")
@@ -124,6 +132,20 @@ class TestBuild:
     def test_invalid_formula(self, runner):
         result = runner.invoke(main, ["build", "--target", "subcubic"], input="p cnf 3 1\n1 2 3 0\n")
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "target, text, message",
+        [
+            ("subcubic", "p cnf 0 0\n", "the formula has no variables"),
+            ("subcubic", "p cnf -3 0\n", "line 1: negative count"),
+            ("p7free", "c header\np cnf 3 -1\n", "line 2: negative count"),
+        ],
+    )
+    def test_empty_or_negative_formula_usage_error(self, runner, target, text, message):
+        result = runner.invoke(main, ["build", "--target", target], input=text)
+        assert result.exit_code == 2
+        assert message in result.output
+        assert isinstance(result.exception, SystemExit)
 
 
 class TestSolve:
@@ -218,6 +240,49 @@ class TestSolve:
         assert "bad json input" in result.output and where in result.output
 
 
+def _library_payload(g, what):
+    """What the library answers to solve --what on g, in the CLI's JSON shape."""
+    if what == "gamma":
+        result = domination_number(g)
+        return {"gamma": result.gamma, "witness": sorted(result.witness)}
+    if what == "ct":
+        return {"ct_gamma": ct_gamma(g)}
+    if what == "blocker":
+        return blocker_report(g).to_json_dict()
+    if what == "one-contraction":
+        decision = one_contraction_decision(g)
+        if decision.holds:
+            return {"one_contraction": "yes", "witness_edge": list(decision.witness)}
+        return {"one_contraction": "no"}
+    key, decide = {
+        "all-efficient": ("all_efficient", all_efficient_md),
+        "all-independent": ("all_independent", all_independent_md),
+    }[what]
+    decision = decide(g)
+    if decision.holds:
+        return {key: "yes"}
+    return {key: "no", "witness": sorted(decision.witness)}
+
+
+class TestSolveEveryQuestion:
+    # P5 tells the two every-MDS deciders apart: every MDS is independent, and
+    # one is not efficient
+    @pytest.mark.parametrize("what", ["gamma", "blocker", "ct", "all-efficient", "all-independent", "one-contraction"])
+    @pytest.mark.parametrize("graph", ["C6", "P4", "P5", "fixture build"])
+    def test_payload_is_the_library_answer(self, runner, graph, what):
+        if graph == "fixture build":
+            path = GOLDEN / "build_subcubic_fixture.json"
+            g = parse_edge_list_json(path.read_text())
+            args = ["--format", "json", "-i", str(path)]
+            stdin = None
+        else:
+            g = cycle_graph(6) if graph == "C6" else path_graph(int(graph[1]))
+            args, stdin = [], emit_graph6(g) + "\n"
+        result = runner.invoke(main, ["solve", "--what", what] + args, input=stdin)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout) == json.loads(json.dumps(_library_payload(g, what)))
+
+
 class TestExport:
     def test_graph6_to_json_and_back(self, runner):
         blob = emit_graph6(cycle_graph(7))
@@ -282,14 +347,34 @@ class TestUnwritableOutput:
         "args, stdin",
         [
             (["solve", "--what", "gamma", "-o", "{bad}"], "Dhc\n"),
+            (["solve", "--what", "blocker", "-o", "{dir}"], "Dhc\n"),
             (["verify", "subcubic", "-o", "{bad}"], ""),
+            (["verify", "contraction", "--max-n", "8", "-o", "{bad}"], ""),
             (["build", "--target", "subcubic", "-o", "-", "--map", "{bad}"], None),
         ],
     )
-    def test_usage_error_not_traceback(self, runner, tmp_path, args, stdin):
-        bad = str(tmp_path / "missing" / "x.json")
+    def test_usage_error_not_traceback(self, runner, tmp_path, monkeypatch, args, stdin):
+        # solve and verify check the path before any search: a search or a
+        # suite run fails the test
+        def searched(*_args, **_kwargs):
+            pytest.fail("a search ran before the output path was checked")
+
+        monkeypatch.setattr(domination._Search, "__init__", searched)
+        monkeypatch.setattr(verify, "run_suite", searched)
+        paths = {"bad": str(tmp_path / "missing" / "x.json"), "dir": str(tmp_path)}
         if stdin is None:
             stdin = emit_dimacs_cnf(satisfiable_fixture())
-        result = runner.invoke(main, [a.format(bad=bad) for a in args], input=stdin)
+        result = runner.invoke(main, [a.format(**paths) for a in args], input=stdin)
         assert result.exit_code == 2
-        assert f"cannot write {bad}" in result.output
+        path = paths["dir" if "{dir}" in args else "bad"]
+        assert f"cannot write {path}" in result.output
+
+    def test_check_keeps_an_existing_output(self, runner, tmp_path):
+        # a run that exits 3 before writing leaves the file as it was
+        out = tmp_path / "x.json"
+        out.write_text("earlier\n")
+        build = str(GOLDEN / "build_subcubic_fixture.json")
+        args = ["solve", "--format", "json", "-i", build, "--what", "ct", "--budget", "50", "-o", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert out.read_text() == "earlier\n"

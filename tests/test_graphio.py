@@ -147,5 +147,5 @@ class TestDot:
         assert dot.count(" -- ") == len(g.edges())
 
     def test_plain_graph(self):
-        dot = emit_dot(cycle_graph(3), name="tri")
-        assert "graph tri {" in dot and dot.count(" -- ") == 3
+        dot = emit_dot(cycle_graph(3))
+        assert "graph G {" in dot and dot.count(" -- ") == 3

@@ -347,6 +347,20 @@ class TestContractionSinglePass:
         assert suite[1]["instance"] == name
         assert suite[1]["counterexample"]["sequence"] == [list(edge)]
 
+    @pytest.mark.parametrize(
+        "liar, check", [("ct_definitional", "_bound"), ("one_contraction_decision", "_equivalences")]
+    )
+    def test_a_non_edge_is_no_contraction(self, monkeypatch, liar, check):
+        # two non-adjacent members of a non-independent MDS of P7: merging them
+        # lowers γ, but they are no edge, so neither claim may take them
+        g = path_graph(7)
+        members = sorted(all_independent_md(g).witness)
+        pair = next((u, v) for u, v in itertools.combinations(members, 2) if not g.has_edge(u, v))
+        lie = (1, (pair,)) if liar == "ct_definitional" else Decision(True, pair)
+        monkeypatch.setattr(verify_mod, liar, lambda *args, **kwargs: lie)
+        verdict = getattr(verify_mod, check)("claim", "P7", g, GammaTable())
+        assert verdict is not None and verdict.status == "fail"
+
     def test_decider_witness_is_checked_by_set_predicates(self, monkeypatch):
         real = verify_mod.all_independent_md
         name, target = next((name, g) for name, g in self.corpus() if not real(g).holds)
