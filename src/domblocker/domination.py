@@ -150,34 +150,40 @@ CT_IMPOSSIBLE = "impossible"
 # -- set predicates -----------------------------------------------------------
 
 
+def _members(g: LabeledGraph, s: frozenset[int] | set[int]) -> int:
+    """The mask of s, which every set predicate reads; a member outside
+    0..n-1 is a ``GraphError``."""
+    n = g.n
+    members = 0
+    for v in s:
+        if not 0 <= v < n:
+            raise GraphError(f"vertex {v} out of range")
+        members |= 1 << v
+    return members
+
+
 def is_dominating(g: LabeledGraph, s: frozenset[int] | set[int]) -> bool:
     """True iff the union of closed neighborhoods over s covers every vertex."""
-    masks = g.closed_masks
-    covered = 0
-    for v in s:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range")
-        covered |= masks[v]
-    return covered == (1 << g.n) - 1
+    return _union(g.closed_masks, _members(g, s)) == (1 << g.n) - 1
 
 
 def is_independent(g: LabeledGraph, s: frozenset[int] | set[int]) -> bool:
     """True iff no edge joins two members of s."""
     masks = g.closed_masks
-    members = sum(1 << v for v in s)
+    members = _members(g, s)
     return all(masks[v] & members == 1 << v for v in s)
 
 
 def is_efficient(g: LabeledGraph, s: frozenset[int] | set[int]) -> bool:
     """True iff every vertex has exactly one dominator in its closed neighborhood."""
-    members = sum(1 << v for v in s)
+    members = _members(g, s)
     return all((m & members).bit_count() == 1 for m in g.closed_masks)
 
 
 def set_edges(g: LabeledGraph, s: frozenset[int] | set[int]) -> list[tuple[int, int]]:
     """Edges internal to s, sorted."""
-    members = sum(1 << v for v in s)
-    return [(u, v) for u in sorted(s) for v in _bits(g.closed_masks[u] & members) if u < v]
+    members = _members(g, s)
+    return [(u, v) for u in _bits(members) for v in _bits(g.closed_masks[u] & members) if u < v]
 
 
 # -- the solver core -----------------------------------------------------------
@@ -595,9 +601,9 @@ class GammaTable:
         # one object per distinct result: small graphs repeat a few witnesses
         self._shared: dict = {}
 
-    def tick(self, nodes: int = 1):
-        """Count search nodes; raise ``BudgetExceeded`` past the budget."""
-        self.nodes += nodes
+    def tick(self):
+        """Count a search node; raise ``BudgetExceeded`` past the budget."""
+        self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             self.nodes = self.budget + 1
             raise BudgetExceeded(self.nodes)
@@ -622,9 +628,9 @@ class GammaTable:
     def decide(
         self, g: LabeledGraph, holds: Callable[[LabeledGraph, frozenset[int]], bool]
     ) -> Decision:
-        """Does every minimum dominating set of the connected g satisfy
-        ``holds``? Witness: one that does not. Decided at most once per
-        adjacency and predicate."""
+        """Does every minimum dominating set of g satisfy ``holds``?
+        Witness: one that does not. Decided at most once per adjacency and
+        predicate; the deciders check that g is connected."""
         key = (holds, g.closed_masks)
         decision = self._decisions.get(key)
         if decision is None:
@@ -661,6 +667,14 @@ def enumerate_minimum_dominating_sets(
     yield from sorted(found, key=sorted)
 
 
+def _connected_table(g: LabeledGraph, table: Optional[GammaTable], question: str) -> GammaTable:
+    """The table a blocker question on g runs on: ``table``, or a fresh
+    unbudgeted one when it is None. The question needs a connected g."""
+    if not g.is_connected():
+        raise GraphError(f"{question} requires a connected graph")
+    return GammaTable() if table is None else table
+
+
 def _every_minimum_set(
     g: LabeledGraph, table: GammaTable, holds: Callable[[LabeledGraph, frozenset[int]], bool]
 ) -> Decision:
@@ -668,8 +682,6 @@ def _every_minimum_set(
     dominating set, so a witness that fails ``holds`` is the answer without
     a search; otherwise enumerate until a minimum dominating set fails
     ``holds``."""
-    if not g.is_connected():
-        raise GraphError("decider requires a connected graph")
     witness = table.solve(g).witness
     if not holds(g, witness):
         return Decision(False, witness)
@@ -687,12 +699,12 @@ def _every_minimum_set(
 
 def all_efficient_md(g: LabeledGraph, table: Optional[GammaTable] = None) -> Decision:
     """Is every minimum dominating set efficient? Witness: a non-efficient MDS."""
-    return (GammaTable() if table is None else table).decide(g, is_efficient)
+    return _connected_table(g, table, "decider").decide(g, is_efficient)
 
 
 def all_independent_md(g: LabeledGraph, table: Optional[GammaTable] = None) -> Decision:
     """Is every minimum dominating set independent? Witness: a non-independent MDS."""
-    return (GammaTable() if table is None else table).decide(g, is_independent)
+    return _connected_table(g, table, "decider").decide(g, is_independent)
 
 
 def one_contraction_decision(g: LabeledGraph, table: Optional[GammaTable] = None) -> Decision:
@@ -702,9 +714,7 @@ def one_contraction_decision(g: LabeledGraph, table: Optional[GammaTable] = None
     exactly when some minimum dominating set contains an edge. The witness is
     an internal edge of such a set (contracting it merges two dominators).
     """
-    if not g.is_connected():
-        raise GraphError("contraction decision requires a connected graph")
-    table = GammaTable() if table is None else table
+    table = _connected_table(g, table, "contraction decision")
     if table.solve(g).gamma == 1:
         return Decision(False)
     verdict = all_independent_md(g, table)
@@ -729,9 +739,7 @@ def ct_definitional(
     (CT_IMPOSSIBLE, ()) when gamma(g) = 1 (no contraction sequence can ever
     help) or when no sequence of at most three succeeds.
     """
-    if not g.is_connected():
-        raise GraphError("contraction search requires a connected graph")
-    table = GammaTable() if table is None else table
+    table = _connected_table(g, table, "contraction search")
     gamma = table.solve(g).gamma
     if gamma == 1:
         return CT_IMPOSSIBLE, ()
@@ -794,9 +802,7 @@ def ct_gamma(g: LabeledGraph, table: Optional[GammaTable] = None) -> int | str:
     reads them without a search; ``ct_definitional`` is the contraction
     search it is checked against.
     """
-    if not g.is_connected():
-        raise GraphError("ct_gamma requires a connected graph")
-    table = GammaTable() if table is None else table
+    table = _connected_table(g, table, "ct_gamma")
     gamma = table.solve(g).gamma
     if gamma == 1:
         return CT_IMPOSSIBLE
@@ -843,9 +849,7 @@ def blocker_report(g: LabeledGraph, table: Optional[GammaTable] = None) -> Block
     One ``GammaTable`` serves every part, so γ of g is solved once. When the
     table's budget runs out in ``ct_gamma`` the report says ``"unknown"``.
     """
-    if not g.is_connected():
-        raise GraphError("blocker report requires a connected graph")
-    table = GammaTable() if table is None else table
+    table = _connected_table(g, table, "blocker report")
     result = table.solve(g)
     efficient = all_efficient_md(g, table)
     independent = all_independent_md(g, table)

@@ -19,48 +19,47 @@ class FormatError(ValueError):
     """Malformed serialized graph, reported with the offending position."""
 
 
+# graph6's vertex-count forms: the largest n each holds, the bytes 126 that
+# lead it, the shifts of its 6-bit groups, and its name in a truncation message
+_N_FORMS = (
+    (62, "", (0,), "short"),
+    (258047, "~", (12, 6, 0), "long-form"),
+    (68719476735, "~~", (30, 24, 18, 12, 6, 0), "8-byte"),
+)
+
+
+def _values(chunk: str, start: int) -> list[int]:
+    """The 6-bit values of the graph6 bytes ``chunk``, which begins at byte
+    ``start``; a byte outside 63..126 is a FormatError naming its position."""
+    values = [ord(ch) - 63 for ch in chunk]
+    if values and not 0 <= min(values) <= max(values) <= 63:
+        pos = next(i for i, b in enumerate(values) if not 0 <= b <= 63)
+        raise FormatError(f"byte {start + pos} out of graph6 range: {chunk[pos]!r}")
+    return values
+
+
 def _encode_n(n: int) -> str:
     if n < 0:
         raise FormatError(f"negative vertex count {n}")
-    if n <= 62:
-        return chr(n + 63)
-    if n <= 258047:
-        return chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    if n <= 68719476735:
-        return chr(126) + chr(126) + "".join(
-            chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0)
-        )
+    for top, lead, shifts, _ in _N_FORMS:
+        if n <= top:
+            return lead + "".join(chr((n >> s & 63) + 63) for s in shifts)
     raise FormatError(f"vertex count {n} too large for graph6")
 
 
 def _decode_n(data: str) -> tuple[int, int]:
-    """Returns (n, number of bytes consumed)."""
-    if not data:
-        raise FormatError("empty graph6 string")
-    c = ord(data[0]) - 63
-    if c < 0 or c > 63:
-        raise FormatError(f"byte 0 out of graph6 range: {data[0]!r}")
-    if c != 63:
-        return c, 1
-    if len(data) < 2 or data[1] != chr(126):
-        if len(data) < 4:
-            raise FormatError("truncated long-form vertex count at byte 1")
-        n = 0
-        for i in (1, 2, 3):
-            b = ord(data[i]) - 63
-            if b < 0 or b > 63:
-                raise FormatError(f"byte {i} out of graph6 range: {data[i]!r}")
-            n = (n << 6) | b
-        return n, 4
-    if len(data) < 8:
-        raise FormatError("truncated 8-byte vertex count at byte 2")
+    """Returns (n, number of bytes consumed) of a non-empty graph6 string."""
+    n = _values(data[0], 0)[0]
+    if n < 63:
+        return n, 1
+    _, lead, shifts, name = _N_FORMS[2 if data[1:2] == "~" else 1]
+    end = len(lead) + len(shifts)
+    if len(data) < end:
+        raise FormatError(f"truncated {name} vertex count at byte {len(lead)}")
     n = 0
-    for i in range(2, 8):
-        b = ord(data[i]) - 63
-        if b < 0 or b > 63:
-            raise FormatError(f"byte {i} out of graph6 range: {data[i]!r}")
-        n = (n << 6) | b
-    return n, 8
+    for b in _values(data[len(lead) : end], len(lead)):
+        n = n << 6 | b
+    return n, end
 
 
 def emit_graph6(g: LabeledGraph) -> str:
@@ -98,13 +97,7 @@ def parse_graph6(text: str) -> LabeledGraph:
         )
     if len(payload) > need_bytes:
         raise FormatError(f"trailing data after graph6 payload at byte {consumed + need_bytes}")
-    bits = []
-    for pos, ch in enumerate(payload):
-        b = ord(ch) - 63
-        if b < 0 or b > 63:
-            raise FormatError(f"byte {consumed + pos} out of graph6 range: {ch!r}")
-        for s in range(5, -1, -1):
-            bits.append((b >> s) & 1)
+    bits = [b >> s & 1 for b in _values(payload, consumed) for s in (5, 4, 3, 2, 1, 0)]
     edges = []
     k = 0
     for j in range(1, n):
@@ -128,10 +121,7 @@ def emit_edge_list_json(g: LabeledGraph) -> str:
 def _label_from_json(pos: int, x) -> VertexLabel:
     fields = ("var", "clause", "index", "source")
     kind = x.get("kind", "plain") if isinstance(x, dict) else None
-    if not (
-        isinstance(kind, str) and kind in _KINDS
-        and all(x.get(f) is None or type(x[f]) is int for f in fields)
-    ):
+    if not (isinstance(kind, str) and all(x.get(f) is None or type(x[f]) is int for f in fields)):
         raise FormatError(f"label #{pos} is not a label object: {x!r}")
     try:
         return VertexLabel.from_dict(x)
@@ -169,9 +159,9 @@ def parse_edge_list_json(text: str) -> LabeledGraph:
 
 # -- DOT ----------------------------------------------------------------------
 
-# every label kind the JSON form accepts, with its name and fill colour in DOT
-# (a plain vertex shows its number)
-_KINDS = {
+# the name and fill colour in DOT of each kind of ``LABEL_KINDS`` (a plain
+# vertex shows its number)
+_DOT_STYLE = {
     "plain": ("", "white"),
     "true": ("T", "palegreen"),
     "false": ("F", "lightcoral"),
@@ -203,13 +193,13 @@ def _label_text(v: int, lbl: VertexLabel) -> str:
         parts.append(f"s{lbl.source}")
     if lbl.index is not None:
         parts.append(str(lbl.index))
-    return f"{_KINDS[lbl.kind][0]}[{','.join(parts)}] #{v}"
+    return f"{_DOT_STYLE[lbl.kind][0]}[{','.join(parts)}] #{v}"
 
 
 def emit_dot(g: LabeledGraph) -> str:
     lines = ["graph G {", "  node [style=filled];"]
     for v, lbl in enumerate(g.labels):
-        lines.append(f'  {v} [label="{_label_text(v, lbl)}", fillcolor="{_KINDS[lbl.kind][1]}"];')
+        lines.append(f'  {v} [label="{_label_text(v, lbl)}", fillcolor="{_DOT_STYLE[lbl.kind][1]}"];')
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

@@ -29,17 +29,22 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 
+# every vertex-label kind, mapped to whether it needs an index in 1..3, one
+# line per gadget: the variable-gadget roles carry ``var``, the clause-gadget
+# roles ``clause`` and optionally ``var``, the replacement-gadget roles their
+# ``source`` vertex, and the triangle-gadget roles ``var``
+LABEL_KINDS = {
+    "plain": False,
+    "true": True, "false": True, "cycle_u": True,
+    "clause": False, "variable": False, "l": False,
+    "port": True, "gadget_u": True, "gadget_w": True, "gadget_a": True, "gadget_b": True, "gadget_c": True,
+    "pos_literal": False, "neg_literal": False, "triangle_u": False,
+}
+
+
 @dataclass(frozen=True)
 class VertexLabel:
-    """Role tag for a vertex.
-
-    kind is one of: "plain", "true", "false", "cycle_u" (variable-gadget roles,
-    with ``var`` and ``index``), "clause", "variable", "l" (clause-gadget roles,
-    with ``clause`` and optionally ``var``), "port", "gadget_u", "gadget_w",
-    "gadget_a", "gadget_b", "gadget_c" (replacement-gadget roles, with
-    ``source`` vertex and ``index``), "pos_literal", "neg_literal",
-    "triangle_u" (triangle-gadget roles, with ``var``).
-    """
+    """Role tag for a vertex: its kind is a key of ``LABEL_KINDS``."""
 
     kind: str = "plain"
     var: Optional[int] = None
@@ -48,7 +53,9 @@ class VertexLabel:
     source: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind in _INDEXED_KINDS and self.index not in (1, 2, 3):
+        if self.kind not in LABEL_KINDS:
+            raise ValueError(f"unknown label kind {self.kind!r}")
+        if LABEL_KINDS[self.kind] and self.index not in (1, 2, 3):
             raise ValueError(f"label kind {self.kind!r} needs index in 1..3, got {self.index}")
 
     def to_dict(self) -> dict:
@@ -69,10 +76,6 @@ class VertexLabel:
             source=d.get("source"),
         )
 
-
-_INDEXED_KINDS = frozenset(
-    {"true", "false", "cycle_u", "port", "gadget_u", "gadget_w", "gadget_a", "gadget_b", "gadget_c"}
-)
 
 PLAIN = VertexLabel()
 
@@ -138,13 +141,11 @@ class LabeledGraph:
         return LabeledGraph(n, tuple(masks), labels)
 
     @staticmethod
-    def from_closed_masks(
-        masks: tuple[int, ...], labels: Optional[tuple[VertexLabel, ...]] = None
-    ) -> "LabeledGraph":
-        """The graph whose closed neighbourhoods are ``masks`` (labels
-        ``PLAIN`` unless given). The masks are trusted: each holds its own
-        bit, and they are symmetric."""
-        return LabeledGraph(len(masks), masks, (PLAIN,) * len(masks) if labels is None else labels)
+    def from_closed_masks(masks: tuple[int, ...]) -> "LabeledGraph":
+        """The graph whose closed neighbourhoods are ``masks``, labels
+        ``PLAIN``. The masks are trusted: each holds its own bit, and they
+        are symmetric."""
+        return LabeledGraph(len(masks), masks, (PLAIN,) * len(masks))
 
     # -- basic queries ----------------------------------------------------
 
@@ -199,7 +200,7 @@ class LabeledGraph:
             raise GraphError(f"cannot contract non-edge ({u},{v})")
         u, v = min(u, v), max(u, v)
         labels = self.labels[:u] + (PLAIN,) + self.labels[u + 1 : v] + self.labels[v + 1 :]
-        return LabeledGraph.from_closed_masks(contract_masks(self.closed_masks, u, v), labels)
+        return LabeledGraph(self.n - 1, contract_masks(self.closed_masks, u, v), labels)
 
     # -- predicates --------------------------------------------------------
 

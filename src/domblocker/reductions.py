@@ -16,6 +16,12 @@ Three constructions:
   when the formula is satisfiable.
 
 Builders are deterministic: identical input gives a bit-identical graph.
+Every converter raises ``ReductionError`` on input it cannot map, a member
+outside 0..n-1 included: ``mds_to_assignment_*`` need a dominating set of
+the built graph with the floor's number of members (``_check_floor_set``),
+and ``project_dominating_set`` needs the gadget counts of a minimum
+dominating set, which ``ClawfreeReductionMap.gadget_count_problems`` lists
+for ``verify`` too.
 """
 
 from __future__ import annotations
@@ -31,11 +37,30 @@ from .cnf import (
     validate_3sat,
 )
 from .domination import is_dominating
-from .graphs import LabeledGraph, VertexLabel
+from .graphs import GraphError, LabeledGraph, VertexLabel
 
 
 class ReductionError(ValueError):
     """Invalid input to a builder or converter."""
+
+
+def _check_dominating(g: LabeledGraph, d: frozenset[int] | set[int], message: str) -> None:
+    """A converter's input must dominate g: ``ReductionError(message)`` when
+    it does not, and one that names a member outside 0..n-1."""
+    try:
+        dominating = is_dominating(g, d)
+    except GraphError as exc:
+        raise ReductionError(str(exc)) from exc
+    if not dominating:
+        raise ReductionError(message)
+
+
+def _check_floor_set(g: LabeledGraph, d: frozenset[int], floor: int) -> None:
+    """The input of ``mds_to_assignment_*``: a dominating set of the built
+    graph g with the floor's number of members."""
+    if len(d) != floor:
+        raise ReductionError(f"dominating set has size {len(d)}, expected {floor}")
+    _check_dominating(g, d, "input set does not dominate the built graph")
 
 
 def _rot(i: int, j: int) -> int:
@@ -187,11 +212,7 @@ def mds_to_assignment_subcubic(
     """Extract the satisfying assignment from a minimum dominating set of the
     target size: a variable is true iff its whole true triple is in the set."""
     f = rmap.formula
-    expected = rmap.expected_gamma()
-    if len(d) != expected:
-        raise ReductionError(f"dominating set has size {len(d)}, expected {expected}")
-    if not is_dominating(g, d):
-        raise ReductionError("input set does not dominate the built graph")
+    _check_floor_set(g, d, rmap.expected_gamma())
     assignment = tuple(
         all(v in d for v in rmap.true_ids[x].values()) for x in range(1, f.num_vars + 1)
     )
@@ -237,10 +258,20 @@ class ClawfreeReductionMap:
     def offset(self) -> int:
         return 5 * len(self.v3_list) + 2 * len(self.v2_list)
 
-    def gadget_bounds(self, v: int) -> tuple[int, int]:
-        """The (low, high) counts a minimum dominating set can hold in the
-        gadget of source vertex v: 5 or 6 of 18, or 2 or 3 of 7."""
-        return (5, 6) if self.kind[v] == 3 else (2, 3)
+    def gadget_count_problems(self, d_prime: frozenset[int] | set[int]) -> list[str]:
+        """Where d_prime breaks the gadget counts of a minimum dominating set
+        of the replacement graph: 5 or 6 members in each 18-vertex gadget,
+        2 or 3 in each 7-vertex gadget. Empty list when every count holds."""
+        problems = []
+        for v in range(self.source.n):
+            count = len(self.gadget_vertices(v) & d_prime)
+            low = 5 if self.kind[v] == 3 else 2
+            if count not in (low, low + 1):
+                problems.append(
+                    f"gadget of source vertex {v} holds {count} set members, "
+                    f"expected {low} or {low + 1}"
+                )
+        return problems
 
     def to_json_dict(self) -> dict:
         return {
@@ -314,8 +345,7 @@ def lift_dominating_set(
     the neighboring gadget's port covers across the port edge.
     """
     g = rmap.source
-    if not is_dominating(g, d):
-        raise ReductionError("input does not dominate the source graph")
+    _check_dominating(g, d, "input does not dominate the source graph")
     chosen: set[int] = set()
     for v in range(g.n):
         roles = rmap.ids[v]
@@ -346,27 +376,17 @@ def project_dominating_set(
 ) -> frozenset[int]:
     """Project a minimum dominating set of the replacement graph back to the
     source: v is selected iff its gadget holds the larger of the two possible
-    per-gadget counts (6 of 18, or 3 of 7)."""
-    selected: set[int] = set()
-    total = 0
-    for v in range(rmap.source.n):
-        count = sum(1 for w in rmap.gadget_vertices(v) if w in d_prime)
-        total += count
-        low, high = rmap.gadget_bounds(v)
-        if count == high:
-            selected.add(v)
-        elif count != low:
-            raise ReductionError(
-                f"gadget of source vertex {v} holds {count} set members, "
-                f"expected {low} or {high}; input is not a minimum dominating set"
-            )
-    if total != len(d_prime):
+    per-gadget counts (6 of 18, or 3 of 7). The first gadget count that
+    ``gadget_count_problems`` finds broken is the ``ReductionError``."""
+    problems = rmap.gadget_count_problems(d_prime)
+    if problems:
+        raise ReductionError(f"{problems[0]}; input is not a minimum dominating set")
+    counts = [len(rmap.gadget_vertices(v) & d_prime) for v in range(rmap.source.n)]
+    if sum(counts) != len(d_prime):
         raise ReductionError("set members found outside all gadgets")
-    if len(d_prime) != len(selected) + rmap.offset():
-        raise ReductionError(
-            f"size identity failed: |D'|={len(d_prime)} but projection gives "
-            f"{len(selected)} + {rmap.offset()}"
-        )
+    # each gadget holds its low count (5 of 18, 2 of 7) or one more, and the
+    # low counts sum to the offset, so |D'| = |selected| + offset holds here
+    selected = {v for v, count in enumerate(counts) if count in (3, 6)}
     if not is_dominating(rmap.source, selected):
         raise ReductionError("projection does not dominate the source graph")
     return frozenset(selected)
@@ -448,10 +468,7 @@ def mds_to_assignment_p7(
     rmap: P7ReductionMap, g: LabeledGraph, d: frozenset[int]
 ) -> Assignment:
     f = rmap.formula
-    if len(d) != f.num_vars:
-        raise ReductionError(f"dominating set has size {len(d)}, expected {f.num_vars}")
-    if not is_dominating(g, d):
-        raise ReductionError("input set does not dominate the built graph")
+    _check_floor_set(g, d, f.num_vars)
     assignment = tuple(rmap.pos_id[x] in d for x in range(1, f.num_vars + 1))
 
     def lit_true(lit: int) -> bool:

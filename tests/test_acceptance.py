@@ -27,7 +27,6 @@ from domblocker.smallgraphs import (
 )
 from domblocker.verify import (
     all_three_var_formulas,
-    check_replacement_gadget_bounds,
     check_subcubic_gadget_bounds,
     eight_pattern_formula,
 )
@@ -317,7 +316,7 @@ def test_criterion_8_per_gadget_cardinality_bounds(subcubic_runs, clawfree_runs,
     for rmap, mds in found_sets["subcubic"]:
         problems += check_subcubic_gadget_bounds(rmap, mds)
     for rmap, mds in found_sets["clawfree"]:
-        problems += check_replacement_gadget_bounds(rmap, mds)
+        problems += rmap.gadget_count_problems(mds)
     total = len(found_sets["subcubic"]) + len(found_sets["clawfree"])
     report(
         8,

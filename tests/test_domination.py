@@ -33,6 +33,7 @@ from domblocker import (
     visit_minimum_dominating_sets,
 )
 from domblocker import domination
+from domblocker.domination import set_edges
 from domblocker.graphs import _bits, contract_masks
 from domblocker.cnf import gen_1in3, gen_3sat, satisfiable_fixture, solve_1in3_brute, unsatisfiable_fixture
 from domblocker.reductions import build_p7free, build_subcubic
@@ -118,9 +119,12 @@ class TestSetPredicates:
     def test_whole_vertex_set_dominates(self, c9):
         assert is_dominating(c9, set(range(9)))
 
-    def test_out_of_range_member(self, c9):
-        with pytest.raises(GraphError):
-            is_dominating(c9, {42})
+    @pytest.mark.parametrize("predicate", [is_dominating, is_independent, is_efficient, set_edges])
+    @pytest.mark.parametrize("vertex", [-1, 42])
+    def test_out_of_range_member(self, c9, predicate, vertex):
+        with pytest.raises(GraphError) as exc:
+            predicate(c9, {0, vertex})
+        assert str(exc.value) == f"vertex {vertex} out of range"
 
     def test_efficient_spaced_triple(self, c9):
         assert is_efficient(c9, {0, 3, 6})
@@ -274,6 +278,27 @@ class TestEnumeration:
             gamma = domination_number(g).gamma
             for s in enumerate_minimum_dominating_sets(g):
                 assert len(s) == gamma and dominates(g, s)
+
+
+class TestPreconditions:
+    @pytest.mark.parametrize(
+        "question, message",
+        [
+            (all_efficient_md, "decider requires a connected graph"),
+            (all_independent_md, "decider requires a connected graph"),
+            (one_contraction_decision, "contraction decision requires a connected graph"),
+            (ct_definitional, "contraction search requires a connected graph"),
+            (ct_gamma, "ct_gamma requires a connected graph"),
+            (blocker_report, "blocker report requires a connected graph"),
+        ],
+    )
+    def test_blocker_questions_need_a_connected_graph(self, question, message):
+        g = LabeledGraph.from_edges(4, [(0, 1), (2, 3)])
+        for table in (None, GammaTable()):
+            with pytest.raises(GraphError) as exc:
+                question(g, table)
+            assert str(exc.value) == message
+            assert table is None or table.nodes == 0
 
 
 class TestDeciders:
@@ -607,9 +632,9 @@ class TestGammaTable:
         built = []
         build = LabeledGraph.from_closed_masks
 
-        def counted(masks, labels=None):
+        def counted(masks):
             built.append(masks)
-            return build(masks, labels)
+            return build(masks)
 
         monkeypatch.setattr(LabeledGraph, "from_closed_masks", staticmethod(counted))
         table = GammaTable()

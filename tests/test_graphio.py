@@ -8,7 +8,6 @@ from domblocker import (
     FormatError,
     LabeledGraph,
     VertexLabel,
-    complete_graph,
     cycle_graph,
     emit_dot,
     emit_edge_list_json,
@@ -19,6 +18,8 @@ from domblocker import (
     build_subcubic,
     satisfiable_fixture,
 )
+from domblocker import graphio
+from domblocker.graphs import LABEL_KINDS
 
 
 def to_networkx(g: LabeledGraph) -> nx.Graph:
@@ -84,14 +85,58 @@ class TestGraph6:
         with pytest.raises(FormatError):
             parse_graph6("")
 
-    def test_out_of_range_byte_rejected(self):
-        with pytest.raises(FormatError, match="byte"):
-            parse_graph6("D\x20\x20\x20")
+    @pytest.mark.parametrize(
+        "text, pos, byte",
+        [
+            ("\x7f", 0, "\x7f"),  # byte 0
+            ("~!AB", 1, "!"),  # the 4-byte vertex count, bytes 1-3
+            ("~A!B", 2, "!"),
+            ("~AB\x7f", 3, "\x7f"),
+            ("~~!ABCDE", 2, "!"),  # the 8-byte vertex count, bytes 2-7
+            ("~~A!BCDE", 3, "!"),
+            ("~~AB!CDE", 4, "!"),
+            ("~~ABC!DE", 5, "!"),
+            ("~~ABCD!E", 6, "!"),
+            ("~~ABCDE\x7f", 7, "\x7f"),
+            ("Dh!", 2, "!"),  # a payload byte
+            ("D!c", 1, "!"),
+        ],
+    )
+    def test_out_of_range_byte_rejected(self, text, pos, byte):
+        with pytest.raises(FormatError) as exc:
+            parse_graph6(text)
+        assert str(exc.value) == f"byte {pos} out of graph6 range: {byte!r}"
 
-    def test_truncation_rejected(self):
-        blob = emit_graph6(complete_graph(8))
-        with pytest.raises(FormatError, match="truncated"):
-            parse_graph6(blob[:-1])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("~", "truncated long-form vertex count at byte 1"),
+            ("~AB", "truncated long-form vertex count at byte 1"),
+            ("~~", "truncated 8-byte vertex count at byte 2"),
+            ("~~ABCDE", "truncated 8-byte vertex count at byte 2"),
+            # K8 is "G~~~~{": n = 8 needs 5 payload bytes
+            ("G~~~~", "truncated graph6 payload: need 5 bytes for n=8, got 4 (at byte 5)"),
+        ],
+    )
+    def test_truncation_rejected(self, text, message):
+        with pytest.raises(FormatError) as exc:
+            parse_graph6(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n", [0, 62, 63, 258047, 258048, 68719476735])
+    def test_vertex_count_round_trip(self, n):
+        encoded = graphio._encode_n(n)
+        assert len(encoded) == (1 if n <= 62 else 4 if n <= 258047 else 8)
+        assert graphio._decode_n(encoded + "?") == (n, len(encoded))
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [(68719476736, "vertex count 68719476736 too large for graph6"), (-1, "negative vertex count -1")],
+    )
+    def test_vertex_count_out_of_reach(self, n, message):
+        with pytest.raises(FormatError) as exc:
+            graphio._encode_n(n)
+        assert str(exc.value) == message
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(FormatError, match="trailing"):
@@ -135,6 +180,11 @@ class TestEdgeListJson:
         with pytest.raises(FormatError):
             parse_edge_list_json('{"n": 2, "edges": [[0, 5]]}')
 
+    def test_unknown_label_kind(self):
+        with pytest.raises(FormatError) as exc:
+            parse_edge_list_json('{"n": 1, "edges": [], "labels": [{"kind": "bogus"}]}')
+        assert str(exc.value) == "label #0: unknown label kind 'bogus'"
+
 
 class TestDot:
     def test_colors_and_names_from_labels(self):
@@ -149,3 +199,10 @@ class TestDot:
     def test_plain_graph(self):
         dot = emit_dot(cycle_graph(3))
         assert "graph G {" in dot and dot.count(" -- ") == 3
+
+    def test_every_kind_has_a_style(self):
+        assert set(graphio._DOT_STYLE) == set(LABEL_KINDS)
+        labels = [VertexLabel(kind, index=1 if indexed else None) for kind, indexed in LABEL_KINDS.items()]
+        dot = emit_dot(LabeledGraph.from_edges(len(labels), [], labels))
+        for kind, (_, colour) in graphio._DOT_STYLE.items():
+            assert f'fillcolor="{colour}"' in dot, kind

@@ -148,6 +148,10 @@ class TestLabels:
             VertexLabel("true", var=1, index=4)
         VertexLabel("true", var=1, index=3)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown label kind 'bogus'"):
+            VertexLabel("bogus")
+
     def test_round_trip(self):
         lbl = VertexLabel("port", source=5, index=2)
         assert VertexLabel.from_dict(lbl.to_dict()) == lbl

@@ -313,11 +313,15 @@ class TestLiftProject:
         assert len(lifted) == 6 + 5 * 6
         assert is_dominating(target, lifted)
 
-    def test_lift_rejects_non_dominating(self):
+    @pytest.mark.parametrize(
+        "d, message",
+        [({0}, "^input does not dominate the source graph$"), ({0, 10}, "^vertex 10 out of range$")],
+    )
+    def test_lift_rejects_non_dominating(self, d, message):
         g = cycle_graph(5)
         _, rmap = build_clawfree(g)
-        with pytest.raises(ReductionError, match="dominate"):
-            lift_dominating_set(rmap, {0})
+        with pytest.raises(ReductionError, match=message):
+            lift_dominating_set(rmap, d)
 
     def test_project_of_lift_recovers_size(self):
         for g in (cycle_graph(5), complete_graph(4), prism_graph()):
@@ -340,6 +344,36 @@ class TestLiftProject:
         target, rmap = build_clawfree(g)
         with pytest.raises(ReductionError):
             project_dominating_set(rmap, target, frozenset(range(target.n)))
+
+    def test_gadget_counts_listed_and_the_first_raised(self):
+        target, rmap = build_clawfree(complete_graph(4))  # four 18-vertex gadgets
+        witness = domination_number(target).witness
+        assert rmap.gadget_count_problems(witness) == []
+        broken = witness | rmap.gadget_vertices(1) | rmap.gadget_vertices(3)
+        problems = rmap.gadget_count_problems(broken)
+        assert problems == [
+            f"gadget of source vertex {v} holds 18 set members, expected 5 or 6" for v in (1, 3)
+        ]
+        with pytest.raises(ReductionError) as exc:
+            project_dominating_set(rmap, target, broken)
+        assert str(exc.value) == problems[0] + "; input is not a minimum dominating set"
+
+
+class TestConverterInputs:
+    """A set of the floor's size with a member outside the graph is a
+    ReductionError that names the member."""
+
+    def test_mds_to_assignment_subcubic(self, sat_build):
+        g, rmap = sat_build
+        d = assignment_to_mds_subcubic(rmap, (True, False, False))
+        with pytest.raises(ReductionError, match=f"^vertex {g.n + 5} out of range$"):
+            mds_to_assignment_subcubic(rmap, g, d - {min(d)} | {g.n + 5})
+
+    def test_mds_to_assignment_p7(self):
+        g, rmap = build_p7free(Formula3Sat.make(3, [(1, 2, -3)]))
+        d = assignment_to_mds_p7(rmap, (True, False, False))
+        with pytest.raises(ReductionError, match=f"^vertex {g.n + 5} out of range$"):
+            mds_to_assignment_p7(rmap, g, d - {min(d)} | {g.n + 5})
 
 
 class TestClaimOffsetIdentity:

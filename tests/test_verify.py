@@ -41,6 +41,59 @@ from domblocker.verify import (
 from bruteforce import brute_gamma, set_contraction
 
 
+class TestFaultyWitness:
+    """A witness holding vertex n + 5 makes its claim fail with a problem
+    that names the vertex, on each path that hands a witness to a set
+    predicate or a reduction map."""
+
+    @staticmethod
+    def _gamma_witness_beyond(monkeypatch, n):
+        # γ of a graph on n vertices comes back with its lowest witness
+        # member swapped for vertex n + 5
+        from domblocker import domination
+
+        real = domination.domination_number
+
+        def beyond(g, table=None):
+            result = real(g, table)
+            if g.n != n:
+                return result
+            return type(result)(result.gamma, result.witness - {min(result.witness)} | {n + 5})
+
+        monkeypatch.setattr(domination, "domination_number", beyond)
+
+    @pytest.mark.parametrize("path", ["lift", "decider", "map"])
+    def test_claim_fails_and_names_the_vertex(self, monkeypatch, path):
+        if path == "lift":
+            # the source γ witness goes to lift_dominating_set
+            self._gamma_witness_beyond(monkeypatch, 5)
+            verdict = verify_clawfree_offset(cycle_graph(5), "C5", GammaTable())
+            vertex = 10
+        elif path == "decider":
+            # the decider's counterexample goes to the set predicates
+            f = eight_pattern_formula()
+            vertex = build_p7free(f)[0].n + 5
+            real = verify_mod.all_independent_md
+            monkeypatch.setattr(
+                verify_mod,
+                "all_independent_md",
+                lambda g, table: Decision(False, real(g, table).witness | {vertex}),
+            )
+            verdict = verify_triangle_construction(f, GammaTable())
+        else:
+            # the γ witness goes to mds_to_assignment_p7; the decider answers
+            # yes without reading that witness
+            f = Formula3Sat.make(3, [(1, 2, 3)])
+            n = build_p7free(f)[0].n
+            self._gamma_witness_beyond(monkeypatch, n)
+            monkeypatch.setattr(verify_mod, "all_independent_md", lambda g, table: Decision(True))
+            verdict = verify_triangle_construction(f, GammaTable())
+            vertex = n + 5
+        assert verdict.status == "fail"
+        problems = verdict.counterexample["problems"]
+        assert any(f"vertex {vertex} out of range" in p for p in problems), problems
+
+
 class TestIndividualChecks:
     def test_gamma_iff_sat_on_fixtures(self):
         assert verify_subcubic(satisfiable_fixture(), GammaTable())[0].passed
