@@ -21,7 +21,9 @@ outside 0..n-1 included: ``mds_to_assignment_*`` need a dominating set of
 the built graph with the floor's number of members (``_check_floor_set``),
 and ``project_dominating_set`` needs the gadget counts of a minimum
 dominating set, which ``ClawfreeReductionMap.gadget_count_problems`` lists
-for ``verify`` too.
+for ``verify`` too. ``SubcubicReductionMap.gadget_floor_problems`` is the
+subcubic build's per-gadget rule: where a dominating set falls below a
+gadget's floor.
 """
 
 from __future__ import annotations
@@ -103,6 +105,21 @@ class SubcubicReductionMap:
 
     def expected_gamma(self) -> int:
         return 3 * self.formula.num_vars + len(self.formula.clauses)
+
+    def gadget_floor_problems(self, d: frozenset[int] | set[int]) -> list[str]:
+        """Where a dominating set d falls below a gadget's floor: a variable
+        gadget owes three members (the three cycle_u closed neighborhoods are
+        disjoint inside it) and a clause gadget owes one (the l-triangle must
+        be dominated from within). Empty list when every floor holds."""
+        problems = []
+        for x in range(1, self.formula.num_vars + 1):
+            count = len(self.gadget_vertices(x) & d)
+            if count < 3:
+                problems.append(f"variable gadget {x} holds {count} < 3 members")
+        for c in range(len(self.formula.clauses)):
+            if not self.clause_gadget_vertices(c) & d:
+                problems.append(f"clause gadget {c} holds no member")
+        return problems
 
     def to_json_dict(self) -> dict:
         return {
@@ -372,7 +389,7 @@ def lift_dominating_set(
 
 
 def project_dominating_set(
-    rmap: ClawfreeReductionMap, target: LabeledGraph, d_prime: frozenset[int] | set[int]
+    rmap: ClawfreeReductionMap, d_prime: frozenset[int] | set[int]
 ) -> frozenset[int]:
     """Project a minimum dominating set of the replacement graph back to the
     source: v is selected iff its gadget holds the larger of the two possible

@@ -9,6 +9,14 @@ is "pass", "fail" (with a re-checkable counterexample payload), or
 "skipped" when the node budget ran out; failures are never silently
 truncated.
 
+Every claim is a check that one runner, ``_claim``, runs; how a claim ends
+is decided there alone. A check returns ``(ok, detail, counterexample)``,
+and a pass drops the counterexample. ``BudgetExceeded`` makes the claim
+skipped, and a ``GraphError`` or ``ReductionError`` that escapes the check
+makes it fail with the error's message as its one problem. The corpus
+claims run one check per graph, and a pass there means "go on to the next
+graph".
+
 Every claim and suite takes the run's ``GammaTable`` as its required
 ``table``, and reads no other search context, so the table's node budget
 bounds the whole run: the induced-P7 certificate ticks it at every extension
@@ -43,7 +51,7 @@ and details.
 
 The ``subcubic`` suite checks the isolated variable gadget and both claims
 on the two bundled formulas; the γ claim also checks its witness against
-every gadget's floor (``check_subcubic_gadget_bounds``), as the
+every gadget's floor (``SubcubicReductionMap.gadget_floor_problems``), as the
 ``clawfree-gamma-offset`` claim lists every replacement gadget whose count
 its witness breaks (``ClawfreeReductionMap.gadget_count_problems``, the rule
 the projection raises on). Every valid formula on three or four variables
@@ -51,9 +59,11 @@ is one of them up to clause order: at three variables the only clause is
 (1,2,3), and at four each clause leaves out a different variable. So random
 formulas of those sizes would only check the same two again.
 
-A decider's counterexample, or a witness handed to a reduction map, that
-holds a member outside 0..n-1 fails its claim with a problem that names the
-member; it raises nothing.
+A witness that holds a member outside 0..n-1 fails its claim with a
+problem that names the member, and raises nothing, on every path: a
+decider's counterexample and a witness handed to a reduction map are
+checked inside the claim, and a γ witness that a decider hands to its set
+predicate fails the claim through the runner.
 
 On a satisfiable formula the ``subcubic`` and ``p7`` claims check the
 reduction both ways: the brute-force assignment maps to a dominating set of
@@ -133,14 +143,22 @@ class ClaimVerdict:
         return d
 
 
-def _verdict(claim, instance, ok, detail="", counterexample=None) -> ClaimVerdict:
-    return ClaimVerdict(
-        claim, instance, "pass" if ok else "fail", detail, None if ok else counterexample
-    )
-
-
-def _skipped(claim, instance, exc: BudgetExceeded) -> ClaimVerdict:
-    return ClaimVerdict(claim, instance, "skipped", f"budget exceeded: {exc}")
+def _claim(claim: str, instance: str, check) -> ClaimVerdict:
+    """Run one claim's check, the one place a claim ends. ``check()`` gives
+    ``(ok, detail, counterexample)``, and a pass drops the counterexample.
+    A spent budget makes the claim skipped. A ``GraphError`` or
+    ``ReductionError`` that escapes the check (say, a decider's set
+    predicate meeting a γ witness member outside the graph) makes it fail,
+    with the error's message as its one problem."""
+    try:
+        ok, detail, counterexample = check()
+    except BudgetExceeded as exc:
+        return ClaimVerdict(claim, instance, "skipped", f"budget exceeded: {exc}")
+    except (GraphError, reductions.ReductionError) as exc:
+        return ClaimVerdict(
+            claim, instance, "fail", f"check raised {type(exc).__name__}", {"problems": [str(exc)]}
+        )
+    return ClaimVerdict(claim, instance, "pass" if ok else "fail", detail, None if ok else counterexample)
 
 
 def _counterexample_problems(g, gamma, witness, holds) -> list[str]:
@@ -192,102 +210,71 @@ def verify_subcubic(f: Formula1in3, table: GammaTable) -> list[ClaimVerdict]:
     meeting every gadget's floor and the reduction's maps checked both ways
     on a satisfiable formula; and gamma equals the floor iff every minimum
     dominating set is efficient."""
-    gamma_claim = "subcubic-gamma-iff-sat"
-    efficient_claim = "subcubic-all-efficient-iff-tight"
     instance = f"1in3 formula |X|={f.num_vars} clauses={list(f.clauses)}"
     g, rmap = reductions.build_subcubic(f)
     assignment = solve_1in3_brute(f)
-    try:
-        result = table.solve(g)
-    except BudgetExceeded as exc:
-        return [_skipped(gamma_claim, instance, exc), _skipped(efficient_claim, instance, exc)]
-    gamma = result.gamma
-    target = rmap.expected_gamma()
-    tight = gamma == target
     sat = assignment is not None
-    problems = check_subcubic_gadget_bounds(rmap, result.witness)
-    if sat:
-        problems += _map_problems(
-            g,
-            rmap,
-            target,
-            assignment,
-            result,
-            reductions.assignment_to_mds_subcubic,
-            reductions.mds_to_assignment_subcubic,
-        )
-    ok = sat == tight and gamma >= target and not problems
-    verdicts = [
-        _verdict(
-            gamma_claim,
-            instance,
-            ok,
-            f"sat={sat} gamma={gamma} target={target}",
-            {"gamma": gamma, "target": target, "sat": sat, "witness_problems": problems},
-        )
-    ]
-    try:
+    target = rmap.expected_gamma()
+
+    def gamma_iff_sat():
+        result = table.solve(g)
+        gamma = result.gamma
+        problems = rmap.gadget_floor_problems(result.witness)
+        if sat:
+            problems += _map_problems(
+                g,
+                rmap,
+                target,
+                assignment,
+                result,
+                reductions.assignment_to_mds_subcubic,
+                reductions.mds_to_assignment_subcubic,
+            )
+        ok = sat == (gamma == target) and gamma >= target and not problems
+        counter = {"gamma": gamma, "target": target, "sat": sat, "witness_problems": problems}
+        return ok, f"sat={sat} gamma={gamma} target={target}", counter
+
+    def efficient_iff_tight():
+        gamma = table.solve(g).gamma
+        tight = gamma == target
         efficient = all_efficient_md(g, table)
-    except BudgetExceeded as exc:
-        return verdicts + [_skipped(efficient_claim, instance, exc)]
-    ok = tight == efficient.holds
-    counter = None
-    if not efficient.holds:
-        witness_problems = _counterexample_problems(g, gamma, efficient.witness, is_efficient)
-        ok = ok and not witness_problems
-        counter = {
-            "non_efficient_mds": sorted(efficient.witness),
-            "gamma": gamma,
-            "witness_problems": witness_problems,
-        }
-    detail = f"tight={tight} all_efficient={efficient.holds}"
-    return verdicts + [_verdict(efficient_claim, instance, ok, detail, counter)]
+        ok = tight == efficient.holds
+        counter = None
+        if not efficient.holds:
+            witness_problems = _counterexample_problems(g, gamma, efficient.witness, is_efficient)
+            ok = ok and not witness_problems
+            counter = {
+                "non_efficient_mds": sorted(efficient.witness),
+                "gamma": gamma,
+                "witness_problems": witness_problems,
+            }
+        return ok, f"tight={tight} all_efficient={efficient.holds}", counter
 
-
-def check_subcubic_gadget_bounds(
-    rmap: reductions.SubcubicReductionMap, d: frozenset[int]
-) -> list[str]:
-    """Per-gadget floor violations for a dominating set: a variable gadget owes
-    three members (the three cycle_u closed neighborhoods are disjoint inside
-    it) and a clause gadget owes one (the l-triangle must be dominated from
-    within). Empty list when all bounds hold."""
-    problems = []
-    for x in range(1, rmap.formula.num_vars + 1):
-        count = len(rmap.gadget_vertices(x) & d)
-        if count < 3:
-            problems.append(f"variable gadget {x} holds {count} < 3 members")
-    for c in range(len(rmap.formula.clauses)):
-        count = len(rmap.clause_gadget_vertices(c) & d)
-        if count < 1:
-            problems.append(f"clause gadget {c} holds no member")
-    return problems
+    return [
+        _claim("subcubic-gamma-iff-sat", instance, gamma_iff_sat),
+        _claim("subcubic-all-efficient-iff-tight", instance, efficient_iff_tight),
+    ]
 
 
 def verify_nine_cycle_gadget(table: GammaTable) -> ClaimVerdict:
     """The isolated variable gadget has exactly three minimum dominating sets:
     the cycle_u triple, the true triple, and the false triple."""
-    claim = "nine-cycle-gadget-minimum-sets"
     f = satisfiable_fixture()
     g, rmap = reductions.build_subcubic(f)
     gadget = sorted(rmap.gadget_vertices(1))
     c9 = induced_subgraph(g, gadget)
-    try:
+
+    def three_sets():
         found = {frozenset(s) for s in enumerate_minimum_dominating_sets(c9, table)}
-    except BudgetExceeded as exc:
-        return _skipped(claim, "isolated 9-cycle variable gadget", exc)
-    expected = {
-        frozenset(gadget.index(v) for v in rmap.cycle_u_ids[1].values()),
-        frozenset(gadget.index(v) for v in rmap.true_ids[1].values()),
-        frozenset(gadget.index(v) for v in rmap.false_ids[1].values()),
-    }
-    ok = found == expected
-    return _verdict(
-        claim,
-        "isolated 9-cycle variable gadget",
-        ok,
-        f"{len(found)} minimum dominating sets",
-        {"found": [sorted(s) for s in found]},
-    )
+        expected = {
+            frozenset(gadget.index(v) for v in rmap.cycle_u_ids[1].values()),
+            frozenset(gadget.index(v) for v in rmap.true_ids[1].values()),
+            frozenset(gadget.index(v) for v in rmap.false_ids[1].values()),
+        }
+        detail = f"{len(found)} minimum dominating sets"
+        return found == expected, detail, {"found": [sorted(s) for s in found]}
+
+    return _claim("nine-cycle-gadget-minimum-sets", "isolated 9-cycle variable gadget", three_sets)
 
 
 # -- claw-free replacement checks ------------------------------------------------
@@ -295,64 +282,56 @@ def verify_nine_cycle_gadget(table: GammaTable) -> ClaimVerdict:
 
 def verify_clawfree_structure(target: LabeledGraph, instance: str) -> ClaimVerdict:
     """Replacement outputs are connected, claw-free, subcubic, min degree 2."""
-    claim = "clawfree-structure"
-    claw = find_claw(target)
-    ok = (
-        target.is_connected()
-        and claw is None
-        and target.is_subcubic()
-        and target.min_degree() >= 2
-    )
-    return _verdict(
-        claim,
-        instance,
-        ok,
-        f"n={target.n} max_deg={target.max_degree()} min_deg={target.min_degree()}",
-        {"claw": claw} if claw else None,
-    )
+
+    def structure():
+        claw = find_claw(target)
+        ok = (
+            target.is_connected()
+            and claw is None
+            and target.is_subcubic()
+            and target.min_degree() >= 2
+        )
+        detail = f"n={target.n} max_deg={target.max_degree()} min_deg={target.min_degree()}"
+        return ok, detail, {"claw": claw} if claw else None
+
+    return _claim("clawfree-structure", instance, structure)
 
 
 def verify_clawfree_offset(g: LabeledGraph, instance: str, table: GammaTable) -> ClaimVerdict:
     """gamma(replacement(g)) == gamma(g) + 5|V_3| + 2|V_2|, with the gadget
     counts of the γ witness, the lift and projection round-trips, and the
     structural certificate checked."""
-    claim = "clawfree-gamma-offset"
     target, rmap = reductions.build_clawfree(g)
     structure = verify_clawfree_structure(target, instance)
     if not structure.passed:
         return structure
-    try:
+
+    def offset():
         source_result = table.solve(g)
         target_result = table.solve(target)
-    except BudgetExceeded as exc:
-        return _skipped(claim, instance, exc)
-    expected = source_result.gamma + rmap.offset()
-    problems = []
-    if target_result.gamma != expected:
-        problems.append(f"gamma'={target_result.gamma} expected {expected}")
-    problems += ["witness: " + p for p in rmap.gadget_count_problems(target_result.witness)]
-    try:
-        lifted = reductions.lift_dominating_set(rmap, source_result.witness)
-        if len(lifted) != expected:
-            problems.append(f"lift size {len(lifted)} != {expected}")
-        if not is_dominating(target, lifted):
-            problems.append("lift does not dominate the replacement graph")
-        projected = reductions.project_dominating_set(rmap, target, target_result.witness)
-        if len(projected) != source_result.gamma:
-            problems.append(f"projection size {len(projected)} != gamma={source_result.gamma}")
-        back = reductions.project_dominating_set(rmap, target, lifted)
-        if len(back) != source_result.gamma:
-            problems.append("lift/project round-trip changed the size")
-    except reductions.ReductionError as exc:
-        problems.append(f"map failed: {exc}")
-    ok = not problems
-    return _verdict(
-        claim,
-        instance,
-        ok,
-        f"gamma={source_result.gamma} gamma'={target_result.gamma} offset={rmap.offset()}",
-        {"problems": problems} if problems else None,
-    )
+        expected = source_result.gamma + rmap.offset()
+        problems = []
+        if target_result.gamma != expected:
+            problems.append(f"gamma'={target_result.gamma} expected {expected}")
+        problems += ["witness: " + p for p in rmap.gadget_count_problems(target_result.witness)]
+        try:
+            lifted = reductions.lift_dominating_set(rmap, source_result.witness)
+            if len(lifted) != expected:
+                problems.append(f"lift size {len(lifted)} != {expected}")
+            if not is_dominating(target, lifted):
+                problems.append("lift does not dominate the replacement graph")
+            projected = reductions.project_dominating_set(rmap, target_result.witness)
+            if len(projected) != source_result.gamma:
+                problems.append(f"projection size {len(projected)} != gamma={source_result.gamma}")
+            back = reductions.project_dominating_set(rmap, lifted)
+            if len(back) != source_result.gamma:
+                problems.append("lift/project round-trip changed the size")
+        except reductions.ReductionError as exc:
+            problems.append(f"map failed: {exc}")
+        detail = f"gamma={source_result.gamma} gamma'={target_result.gamma} offset={rmap.offset()}"
+        return not problems, detail, {"problems": problems}
+
+    return _claim("clawfree-gamma-offset", instance, offset)
 
 
 # -- triangle/clique construction checks --------------------------------------------
@@ -363,88 +342,74 @@ def verify_triangle_construction(f: Formula3Sat, table: GammaTable) -> ClaimVerd
     every minimum dominating set is independent; plus the no-induced-P7
     certificate, whose extension nodes count against the table's budget,
     and, on a satisfiable formula, the reduction's maps both ways."""
-    claim = "triangle-gamma-iff-sat"
     instance = f"3sat |X|={f.num_vars} clauses={list(f.clauses)}"
     g, rmap = reductions.build_p7free(f)
     assignment = solve_3sat_brute(f)
-    try:
+    sat = assignment is not None
+
+    def gamma_iff_sat():
         result = table.solve(g)
         independent = all_independent_md(g, table)
         p7 = find_induced_path(g, 7, tick=table.tick)
-    except BudgetExceeded as exc:
-        return _skipped(claim, instance, exc)
-    gamma = result.gamma
-    sat = assignment is not None
-    problems = []
-    if gamma < f.num_vars:
-        problems.append(f"gamma={gamma} below the floor |X|={f.num_vars}")
-    if sat != (gamma == f.num_vars):
-        problems.append(f"sat={sat} but gamma={gamma} (|X|={f.num_vars})")
-    if sat != independent.holds:
-        problems.append(f"sat={sat} but all_independent={independent.holds}")
-    if p7 is not None:
-        problems.append(f"induced 7-vertex path: {p7}")
-    if not independent.holds:
-        problems += _counterexample_problems(g, gamma, independent.witness, is_independent)
-    if sat:
-        problems += _map_problems(
-            g,
-            rmap,
-            f.num_vars,
-            assignment,
-            result,
-            reductions.assignment_to_mds_p7,
-            reductions.mds_to_assignment_p7,
-        )
-    ok = not problems
-    return _verdict(
-        claim,
-        instance,
-        ok,
-        f"sat={sat} gamma={gamma} all_independent={independent.holds} p7_free={p7 is None}",
-        {"problems": problems} if problems else None,
-    )
+        gamma = result.gamma
+        problems = []
+        if gamma < f.num_vars:
+            problems.append(f"gamma={gamma} below the floor |X|={f.num_vars}")
+        if sat != (gamma == f.num_vars):
+            problems.append(f"sat={sat} but gamma={gamma} (|X|={f.num_vars})")
+        if sat != independent.holds:
+            problems.append(f"sat={sat} but all_independent={independent.holds}")
+        if p7 is not None:
+            problems.append(f"induced 7-vertex path: {p7}")
+        if not independent.holds:
+            problems += _counterexample_problems(g, gamma, independent.witness, is_independent)
+        if sat:
+            problems += _map_problems(
+                g,
+                rmap,
+                f.num_vars,
+                assignment,
+                result,
+                reductions.assignment_to_mds_p7,
+                reductions.mds_to_assignment_p7,
+            )
+        detail = f"sat={sat} gamma={gamma} all_independent={independent.holds} p7_free={p7 is None}"
+        return not problems, detail, {"problems": problems}
+
+    return _claim("triangle-gamma-iff-sat", instance, gamma_iff_sat)
 
 
 # -- contraction equivalences over a corpus -------------------------------------------
 
 
-def _equivalences(claim, name, g, table) -> Optional[ClaimVerdict]:
+def _equivalences(g, table):
     """The contraction search (ct = 1), the non-independent-MDS
     characterization and the negated all-independent decider agree on g,
     and the characterization's witness edge lowers gamma. The last two read
     one decision, so the decider's witness is also checked by set
     predicates: it dominates, has gamma members, is not independent and
-    holds the witness edge. None when g passes."""
-    try:
-        definitional = ct_definitional(g, table)[0] == 1
-        characterized = one_contraction_decision(g, table)
-        independent = all_independent_md(g, table)
-        gamma = table.solve(g).gamma
-        witness_ok = not characterized.holds or _lowers(g, gamma, [characterized.witness], table)
-    except BudgetExceeded as exc:
-        return _skipped(claim, name, exc)
+    holds the witness edge."""
+    definitional = ct_definitional(g, table)[0] == 1
+    characterized = one_contraction_decision(g, table)
+    independent = all_independent_md(g, table)
+    gamma = table.solve(g).gamma
+    witness_ok = not characterized.holds or _lowers(g, gamma, [characterized.witness], table)
     agree = definitional == characterized.holds == (not independent.holds)
     if not independent.holds:
         members = independent.witness
         witness_ok = witness_ok and not _counterexample_problems(g, gamma, members, is_independent)
         if characterized.holds:
             witness_ok = witness_ok and set(characterized.witness) <= members
-    if agree and witness_ok:
-        return None
-    return _verdict(
-        claim,
-        name,
-        False,
-        "oracle disagreement",
-        {
-            "definitional": definitional,
-            "characterized": characterized.holds,
-            "all_independent": independent.holds,
-            "witness_ok": witness_ok,
-            "edges": g.edges(),
-        },
-    )
+    ok = agree and witness_ok
+    # a passing graph builds no counterexample: the corpus checks thousands
+    counter = None if ok else {
+        "definitional": definitional,
+        "characterized": characterized.holds,
+        "all_independent": independent.holds,
+        "witness_ok": witness_ok,
+        "edges": g.edges(),
+    }
+    return ok, "oracle disagreement", counter
 
 
 def _lowers(g: LabeledGraph, gamma: int, edges, table: GammaTable) -> bool:
@@ -459,38 +424,29 @@ def _lowers(g: LabeledGraph, gamma: int, edges, table: GammaTable) -> bool:
     return table.solve_masks(masks).gamma < gamma
 
 
-def _bound(claim, name, g, table) -> Optional[ClaimVerdict]:
+def _bound(g, table):
     """ct_gamma (the characterization) equals ct_definitional (the
     contraction search) on g, the value is in 1..3 when gamma >= 2 and
     CT_IMPOSSIBLE at gamma = 1, and the search's edge sequence has ct edges
-    and, replayed, lowers gamma (it is empty when ct is CT_IMPOSSIBLE). None
-    when g passes."""
-    try:
-        gamma = table.solve(g).gamma
-        ct = ct_gamma(g, table)
-        definitional, edges = ct_definitional(g, table)
-        lowered = _lowers(g, gamma, edges, table)
-    except BudgetExceeded as exc:
-        return _skipped(claim, name, exc)
+    and, replayed, lowers gamma (it is empty when ct is CT_IMPOSSIBLE)."""
+    gamma = table.solve(g).gamma
+    ct = ct_gamma(g, table)
+    definitional, edges = ct_definitional(g, table)
+    lowered = _lowers(g, gamma, edges, table)
     valid = ct == CT_IMPOSSIBLE if gamma == 1 else ct in (1, 2, 3)
     if definitional == CT_IMPOSSIBLE:
         certified = not edges
     else:
         certified = lowered and len(edges) == definitional
-    if valid and ct == definitional and certified:
-        return None
-    return _verdict(
-        claim,
-        name,
-        False,
-        f"gamma={gamma} ct={ct} ct_definitional={definitional} sequence_lowers={lowered}",
-        {
-            "edges": g.edges(),
-            "ct": ct,
-            "ct_definitional": definitional,
-            "sequence": [list(edge) for edge in edges],
-        },
-    )
+    ok = valid and ct == definitional and certified
+    detail = f"gamma={gamma} ct={ct} ct_definitional={definitional} sequence_lowers={lowered}"
+    counter = None if ok else {
+        "edges": g.edges(),
+        "ct": ct,
+        "ct_definitional": definitional,
+        "sequence": [list(edge) for edge in edges],
+    }
+    return ok, detail, counter
 
 
 # a corpus claim: its name, the check of one graph, and the word of its pass detail
@@ -510,13 +466,15 @@ def _corpus_verdicts(graphs, table, claims) -> list[ClaimVerdict]:
             break
         for i in open_claims:
             claim, check, _ = claims[i]
-            verdicts[i] = check(claim, name, g, table)
-            if verdicts[i] is None:
+            verdict = _claim(claim, name, lambda: check(g, table))
+            if verdict.passed:
                 checked[i] += 1
+            else:
+                verdicts[i] = verdict
     for i, (claim, _, word) in enumerate(claims):
         if verdicts[i] is None:
             count = checked[i]
-            verdicts[i] = _verdict(claim, f"{count} connected graphs", True, f"{count} graphs {word}")
+            verdicts[i] = ClaimVerdict(claim, f"{count} connected graphs", "pass", f"{count} graphs {word}")
     return verdicts
 
 

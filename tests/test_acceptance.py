@@ -27,7 +27,6 @@ from domblocker.smallgraphs import (
 )
 from domblocker.verify import (
     all_three_var_formulas,
-    check_subcubic_gadget_bounds,
     eight_pattern_formula,
 )
 
@@ -114,8 +113,8 @@ def clawfree_runs(found_sets):
         result = db.domination_number(target)
         found_sets["clawfree"].append((rmap, result.witness))
         found_sets["clawfree"].append((rmap, lifted))
-        projected = db.project_dominating_set(rmap, target, result.witness)
-        round_trip = db.project_dominating_set(rmap, target, lifted)
+        projected = db.project_dominating_set(rmap, result.witness)
+        round_trip = db.project_dominating_set(rmap, lifted)
         runs.append(
             {
                 "name": name,
@@ -314,7 +313,7 @@ def test_criterion_7_deterministic_golden_outputs():
 def test_criterion_8_per_gadget_cardinality_bounds(subcubic_runs, clawfree_runs, found_sets):
     problems = []
     for rmap, mds in found_sets["subcubic"]:
-        problems += check_subcubic_gadget_bounds(rmap, mds)
+        problems += rmap.gadget_floor_problems(mds)
     for rmap, mds in found_sets["clawfree"]:
         problems += rmap.gadget_count_problems(mds)
     total = len(found_sets["subcubic"]) + len(found_sets["clawfree"])

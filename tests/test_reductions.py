@@ -325,10 +325,10 @@ class TestLiftProject:
 
     def test_project_of_lift_recovers_size(self):
         for g in (cycle_graph(5), complete_graph(4), prism_graph()):
-            target, rmap = build_clawfree(g)
+            _, rmap = build_clawfree(g)
             source_mds = domination_number(g).witness
             lifted = lift_dominating_set(rmap, source_mds)
-            back = project_dominating_set(rmap, target, lifted)
+            back = project_dominating_set(rmap, lifted)
             assert len(back) == len(source_mds)
             assert dominates(g, back)
 
@@ -336,14 +336,14 @@ class TestLiftProject:
         g = cycle_graph(5)
         target, rmap = build_clawfree(g)
         witness = domination_number(target).witness
-        projected = project_dominating_set(rmap, target, witness)
+        projected = project_dominating_set(rmap, witness)
         assert len(projected) == 2 and dominates(g, projected)
 
     def test_project_rejects_oversized(self):
         g = cycle_graph(5)
         target, rmap = build_clawfree(g)
         with pytest.raises(ReductionError):
-            project_dominating_set(rmap, target, frozenset(range(target.n)))
+            project_dominating_set(rmap, frozenset(range(target.n)))
 
     def test_gadget_counts_listed_and_the_first_raised(self):
         target, rmap = build_clawfree(complete_graph(4))  # four 18-vertex gadgets
@@ -355,7 +355,7 @@ class TestLiftProject:
             f"gadget of source vertex {v} holds 18 set members, expected 5 or 6" for v in (1, 3)
         ]
         with pytest.raises(ReductionError) as exc:
-            project_dominating_set(rmap, target, broken)
+            project_dominating_set(rmap, broken)
         assert str(exc.value) == problems[0] + "; input is not a minimum dominating set"
 
 

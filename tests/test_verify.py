@@ -7,10 +7,13 @@ import pytest
 
 import domblocker.verify as verify_mod
 from domblocker import (
+    BudgetExceeded,
     Decision,
     Formula1in3,
     Formula3Sat,
     GammaTable,
+    GraphError,
+    ReductionError,
     all_independent_md,
     is_efficient,
     is_independent,
@@ -44,7 +47,7 @@ from bruteforce import brute_gamma, set_contraction
 class TestFaultyWitness:
     """A witness holding vertex n + 5 makes its claim fail with a problem
     that names the vertex, on each path that hands a witness to a set
-    predicate or a reduction map."""
+    predicate or a reduction map, in the claim or in a decider it asks."""
 
     @staticmethod
     def _gamma_witness_beyond(monkeypatch, n):
@@ -62,7 +65,9 @@ class TestFaultyWitness:
 
         monkeypatch.setattr(domination, "domination_number", beyond)
 
-    @pytest.mark.parametrize("path", ["lift", "decider", "map"])
+    @pytest.mark.parametrize(
+        "path", ["lift", "decider", "map", "efficient", "independent", "equivalences", "bound"]
+    )
     def test_claim_fails_and_names_the_vertex(self, monkeypatch, path):
         if path == "lift":
             # the source γ witness goes to lift_dominating_set
@@ -80,7 +85,7 @@ class TestFaultyWitness:
                 lambda g, table: Decision(False, real(g, table).witness | {vertex}),
             )
             verdict = verify_triangle_construction(f, GammaTable())
-        else:
+        elif path == "map":
             # the γ witness goes to mds_to_assignment_p7; the decider answers
             # yes without reading that witness
             f = Formula3Sat.make(3, [(1, 2, 3)])
@@ -89,6 +94,26 @@ class TestFaultyWitness:
             monkeypatch.setattr(verify_mod, "all_independent_md", lambda g, table: Decision(True))
             verdict = verify_triangle_construction(f, GammaTable())
             vertex = n + 5
+        elif path == "efficient":
+            # all_efficient_md hands the γ witness to is_efficient
+            f = unsatisfiable_fixture()
+            n = build_subcubic(f)[0].n
+            self._gamma_witness_beyond(monkeypatch, n)
+            verdict = verify_subcubic(f, GammaTable())[1]
+            vertex = n + 5
+        elif path == "independent":
+            # all_independent_md hands the γ witness to is_independent
+            f = eight_pattern_formula()
+            n = build_p7free(f)[0].n
+            self._gamma_witness_beyond(monkeypatch, n)
+            verdict = verify_triangle_construction(f, GammaTable())
+            vertex = n + 5
+        else:
+            # the deciders both corpus claims ask (through ct_gamma for the
+            # bound) read the γ witness of each graph on four vertices
+            self._gamma_witness_beyond(monkeypatch, 4)
+            verdict = suite_contraction(4, 0, 1, GammaTable())[path == "bound"]
+            vertex = 9
         assert verdict.status == "fail"
         problems = verdict.counterexample["problems"]
         assert any(f"vertex {vertex} out of range" in p for p in problems), problems
@@ -263,6 +288,30 @@ class TestFailurePlumbing:
         assert verdict.status == "skipped"
         assert verdict.detail.endswith(f"after {searches.nodes + 1} nodes")
 
+    def test_runner_ends_every_claim(self):
+        def check(error=None, ok=True):
+            def run():
+                if error is not None:
+                    raise error
+                return ok, "detail", {"problems": ["p"]}
+
+            return run
+
+        claim = verify_mod._claim
+        assert claim("c", "i", check()) == ClaimVerdict("c", "i", "pass", "detail")
+        assert claim("c", "i", check(ok=False)) == ClaimVerdict(
+            "c", "i", "fail", "detail", {"problems": ["p"]}
+        )
+        assert claim("c", "i", check(BudgetExceeded(8))) == ClaimVerdict(
+            "c", "i", "skipped", "budget exceeded: solver budget exceeded after 8 nodes"
+        )
+        for error in (GraphError("vertex 9 out of range"), ReductionError("no map")):
+            assert claim("c", "i", check(error)) == ClaimVerdict(
+                "c", "i", "fail", f"check raised {type(error).__name__}", {"problems": [str(error)]}
+            )
+        with pytest.raises(ValueError):
+            claim("c", "i", check(ValueError("not a claim's fault")))
+
     def test_verdict_json_shape(self):
         verdict = ClaimVerdict("some-check", "inst", "fail", "boom", {"bad": 1})
         d = verdict.to_json_dict()
@@ -411,8 +460,8 @@ class TestContractionSinglePass:
         pair = next((u, v) for u, v in itertools.combinations(members, 2) if not g.has_edge(u, v))
         lie = (1, (pair,)) if liar == "ct_definitional" else Decision(True, pair)
         monkeypatch.setattr(verify_mod, liar, lambda *args, **kwargs: lie)
-        verdict = getattr(verify_mod, check)("claim", "P7", g, GammaTable())
-        assert verdict is not None and verdict.status == "fail"
+        ok, _, _ = getattr(verify_mod, check)(g, GammaTable())
+        assert not ok
 
     def test_decider_witness_is_checked_by_set_predicates(self, monkeypatch):
         real = verify_mod.all_independent_md
@@ -440,6 +489,7 @@ class TestOneBudgetPerRun:
         "subcubic": suite_subcubic,
         "contraction": lambda table: suite_contraction(5, 4, 3, table),
         "p7": suite_p7,
+        "clawfree": lambda table: suite_clawfree(2024, table),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
