@@ -661,8 +661,10 @@ class TestSearchTrees:
     """The search visits the same nodes in the same order on fixed graphs.
 
     The golden file pins gamma, the witness, the optimizer's and the
-    enumerator's node counts, and every MDS in visit order, so a change to
-    how the solver walks its masks cannot silently change what it explores.
+    enumerator's node counts, every MDS in visit order, and ct with the node
+    count of the whole blocker report (forced solves included), so a change
+    to how the solver walks its masks cannot silently change what it
+    explores.
     """
 
     GRAPHS = {
@@ -688,6 +690,9 @@ class TestSearchTrees:
         assert optimizer_table.nodes == want["optimizer_nodes"]
         assert enumerator_table.nodes == want["enumerator_nodes"]
         assert found == want["mds"]
+        report_table = GammaTable()
+        assert blocker_report(g, report_table).ct == want["ct"]
+        assert report_table.nodes == want["report_nodes"]
 
 
 class TestLowerBound:
