@@ -67,15 +67,15 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _check_writable(path: str) -> None:
-    """Fail as ``_write_text`` would, before any search runs: the path is a
-    directory, its directory is missing, or it is not writable. The check
-    creates no file and truncates none."""
+    """Fail as ``_write_text`` would, before any search runs: the path is
+    empty or a directory, its directory is missing, or it is not writable.
+    The check creates no file and truncates none."""
     if path == "-":
         return
     directory = os.path.dirname(path) or "."
     code = (
         errno.EISDIR if os.path.isdir(path)
-        else errno.ENOENT if not os.path.isdir(directory)
+        else errno.ENOENT if not path or not os.path.isdir(directory)
         else 0 if os.access(path if os.path.exists(path) else directory, os.W_OK)
         else errno.EACCES
     )

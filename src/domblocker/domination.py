@@ -19,6 +19,13 @@ irredundant (each pick that the other kept picks make redundant is dropped),
 which is often γ itself, so the search mostly proves the optimum rather than
 finding it.
 
+The optimizer has one entry, ``_Optimizer.forced(mask, limit)``: can the
+vertices of mask be completed to a dominating set of at most limit vertices?
+It returns the smallest such set or None, and every set the search passes
+back is a mask. γ is ``forced(0, |greedy| - 1)``, or the greedy cover when
+nothing smaller exists; the γ + 1 clause of ``ct_gamma`` is one ``forced``
+per vertex set that two edges span.
+
 Vertex sets are int bitmasks, walked in ascending vertex order, and a graph
 is its closed-neighbourhood masks (``LabeledGraph.closed_masks``): the
 searches and the set predicates (``is_dominating``, ``is_independent``,
@@ -110,9 +117,10 @@ sets until one fails, or all of them when the answer is yes.
 
 ``ct_gamma`` contracts nothing. It reads ct from its characterization:
 the all-independent and all-efficient decisions, which ``blocker_report``
-already holds in the table, and, only when both hold, forced-set solves on
-one optimizer that ask whether a dominating set of γ + 1 vertices can induce
-two edges. ``ct_definitional`` is the one contraction search, the oracle of
+already holds in the table, and, only when both hold, ``forced(S, γ + 1)``
+of one optimizer for each vertex set S that two edges span, which asks
+whether a dominating set of at most γ + 1 vertices induces two edges.
+``ct_definitional`` is the one contraction search, the oracle of
 ``ct_gamma`` and, through ct = 1, of ``one_contraction_decision``. It
 searches contraction sequences of length at most three on closed masks
 alone and returns the first sequence that lowers γ, so its answer can be
@@ -221,9 +229,9 @@ class _Search:
         self.tick = (GammaTable() if table is None else table).tick
         self.two, self.near, self.width, self.units = g.search_setup
 
-    def greedy_cover(self) -> list[int]:
-        """Greedy max-coverage dominating set made irredundant; the initial
-        upper bound.
+    def greedy_cover(self) -> int:
+        """Greedy max-coverage dominating set made irredundant, as a mask; the
+        initial upper bound.
 
         The picks are walked in pick order, and each one whose closed
         neighbourhood the picks still kept cover without it is dropped.
@@ -241,14 +249,10 @@ class _Search:
                     best_gain, best_v = gain, v
             chosen.append(best_v)
             und &= ~nb[best_v]
-        kept = list(chosen)
+        kept = sum(1 << v for v in chosen)
         for v in chosen:
-            others = 0
-            for u in kept:
-                if u != v:
-                    others |= nb[u]
-            if not nb[v] & ~others:
-                kept.remove(v)
+            if not nb[v] & ~_union(nb, kept & ~(1 << v)):
+                kept &= ~(1 << v)
         return kept
 
     def reduce(
@@ -419,16 +423,27 @@ class _Search:
 
 
 class _Optimizer(_Search):
+    def forced(self, mask: int, limit: int) -> Optional[int]:
+        """Can the vertices of ``mask`` be completed to a dominating set of at
+        most ``limit`` vertices? The smallest such set as a mask, or None."""
+        if mask.bit_count() > limit:
+            return None
+        rest = self.min_dominating(
+            self.full & ~_union(self.nb, mask), self.full & ~mask, limit - mask.bit_count()
+        )
+        return None if rest is None else rest | mask
+
     def min_dominating(
         self, und: int, avail: int, limit: int, since: Optional[tuple[int, int]] = None
-    ) -> Optional[tuple[int, int]]:
-        """Exact minimum (size, mask) dominating und from avail, or None if > limit.
+    ) -> Optional[int]:
+        """The smallest set of at most ``limit`` vertices of avail that
+        dominates und, as a mask, or None.
 
         ``since`` is handed to ``reduce``: the fixpoint (und, avail) this
         state was cut from (None at the root).
         """
         if not und:
-            return (0, 0)
+            return 0
         if limit <= 0:
             return None
         red = self.reduce(und, avail, since)
@@ -439,7 +454,7 @@ class _Optimizer(_Search):
         if k > limit:
             return None
         if not und:
-            return (k, forced)
+            return forced
         fixpoint = (und, avail)
         comps = self.split_components(und)
         # a lone component's bound is only compared with limit - k; the
@@ -451,17 +466,16 @@ class _Optimizer(_Search):
         # node is counted: the pinned node counts include such nodes
         if len(comps) > 1 and remaining > limit - k:
             return None
-        total, mask = 0, 0
+        # no vertex covers two parts, so the parts' sets and forced are disjoint
         for comp, (bound, branch_live) in zip(comps, bounds):
             remaining -= bound
             sub = self.solve_component(
-                comp, avail, limit - k - total - remaining, fixpoint, bound, branch_live
+                comp, avail, limit - forced.bit_count() - remaining, fixpoint, bound, branch_live
             )
             if sub is None:
                 return None
-            total += sub[0]
-            mask |= sub[1]
-        return (total + k, mask | forced)
+            forced |= sub
+        return forced
 
     def solve_component(
         self,
@@ -471,35 +485,24 @@ class _Optimizer(_Search):
         fixpoint: tuple[int, int],
         bound: int,
         branch_live: int,
-    ) -> Optional[tuple[int, int]]:
+    ) -> Optional[int]:
         """Branch on ``branch_live``, the branch set of und, which is all of
         the reduced ``fixpoint`` (und, avail) or one part of it; ``bound`` is
-        its lower bound. Each child is that fixpoint with bits cleared."""
+        its lower bound. Each child is that fixpoint with bits cleared, capped
+        one below the best set found so far, so any set it returns is the new
+        best."""
         self.tick()
         if limit <= 0 or bound > limit:
             return None
-        best: Optional[tuple[int, int]] = None
+        best: Optional[int] = None
         sub_avail = avail
         for v in _bits(branch_live):
             sub_avail &= ~(1 << v)
-            cap = (limit if best is None else best[0] - 1) - 1
+            cap = (limit if best is None else best.bit_count() - 1) - 1
             sub = self.min_dominating(und & ~self.nb[v], sub_avail, cap, fixpoint)
             if sub is not None:
-                candidate = (sub[0] + 1, sub[1] | (1 << v))
-                if best is None or candidate[0] < best[0]:
-                    best = candidate
+                best = sub | (1 << v)
         return best
-
-    def run(self) -> tuple[int, frozenset[int]]:
-        greedy = self.greedy_cover()
-        best_size = len(greedy)
-        best_mask = 0
-        for v in greedy:
-            best_mask |= 1 << v
-        improved = self.min_dominating(self.full, self.full, best_size - 1)
-        if improved is not None:
-            best_size, best_mask = improved
-        return best_size, frozenset(_bits(best_mask))
 
 
 class _Enumerator(_Search):
@@ -566,8 +569,10 @@ def domination_number(g: LabeledGraph, table: Optional[GammaTable] = None) -> Ga
     """
     if g.n == 0:
         raise GraphError("domination number of the empty graph is undefined")
-    size, witness = _Optimizer(g, table).run()
-    return GammaResult(size, witness)
+    search = _Optimizer(g, table)
+    greedy = search.greedy_cover()
+    best = search.forced(0, greedy.bit_count() - 1) or greedy
+    return GammaResult(best.bit_count(), frozenset(_bits(best)))
 
 
 class GammaTable:
@@ -768,24 +773,20 @@ def _two_edges_dominate(g: LabeledGraph, gamma: int, table: GammaTable) -> bool:
     """Does some dominating set of at most gamma + 1 vertices induce two edges?
 
     Two edges span three vertices when they share one and four when they do
-    not, so each such vertex set S with |S| <= gamma + 1 is forced in turn,
-    once: the answer is yes when the rest of a set can dominate V minus N[S]
-    from V minus S with at most gamma + 1 - |S| vertices. One optimizer
-    serves every forced solve, and each of its nodes ticks ``table``.
+    not. Each such vertex set is asked once, as ``forced(S, gamma + 1)`` of
+    one optimizer, whose nodes all tick ``table``: the answer is yes when
+    some S completes.
     """
     search = _Optimizer(g, table)
-    full = search.full
     edges = [(1 << u) | (1 << v) for u, v in g.edges()]
     tried = set()
     for i, a in enumerate(edges):
         for b in edges[i + 1 :]:
-            forced = a | b
-            size = forced.bit_count()
-            if size > gamma + 1 or forced in tried:
+            pair = a | b
+            if pair in tried:
                 continue
-            tried.add(forced)
-            und = full & ~_union(search.nb, forced)
-            if not und or search.min_dominating(und, full & ~forced, gamma + 1 - size) is not None:
+            tried.add(pair)
+            if search.forced(pair, gamma + 1) is not None:
                 return True
     return False
 

@@ -348,8 +348,10 @@ class TestUnwritableOutput:
         [
             (["solve", "--what", "gamma", "-o", "{bad}"], "Dhc\n"),
             (["solve", "--what", "blocker", "-o", "{dir}"], "Dhc\n"),
+            (["solve", "--what", "blocker", "-o", "{empty}"], "Dhc\n"),
             (["verify", "subcubic", "-o", "{bad}"], ""),
             (["verify", "contraction", "--max-n", "8", "-o", "{bad}"], ""),
+            (["verify", "contraction", "--max-n", "8", "-o", "{empty}"], ""),
             (["build", "--target", "subcubic", "-o", "-", "--map", "{bad}"], None),
         ],
     )
@@ -361,13 +363,13 @@ class TestUnwritableOutput:
 
         monkeypatch.setattr(domination._Search, "__init__", searched)
         monkeypatch.setattr(verify, "run_suite", searched)
-        paths = {"bad": str(tmp_path / "missing" / "x.json"), "dir": str(tmp_path)}
+        paths = {"bad": str(tmp_path / "missing" / "x.json"), "dir": str(tmp_path), "empty": ""}
         if stdin is None:
             stdin = emit_dimacs_cnf(satisfiable_fixture())
         result = runner.invoke(main, [a.format(**paths) for a in args], input=stdin)
         assert result.exit_code == 2
-        path = paths["dir" if "{dir}" in args else "bad"]
-        assert f"cannot write {path}" in result.output
+        path = next(paths[key] for key in paths if "{%s}" % key in args)
+        assert f"cannot write {path}:" in result.output
 
     def test_check_keeps_an_existing_output(self, runner, tmp_path):
         # a run that exits 3 before writing leaves the file as it was

@@ -367,11 +367,34 @@ class TestDeciders:
 class TestGreedyCover:
     def test_irredundant_dominating_set(self):
         for name, g in oracle_corpus():
-            cover = domination._Search(g, None).greedy_cover()
-            members = set(cover)
-            assert len(members) == len(cover) and is_dominating(g, members), name
-            for v in cover:
+            members = set(_bits(domination._Search(g, None).greedy_cover()))
+            assert is_dominating(g, members), name
+            for v in members:
                 assert not is_dominating(g, members - {v}), (name, v)
+
+
+class TestForced:
+    def test_matches_the_residual_brute_force(self):
+        """forced(S, limit) refuses every limit below the fewest vertices a
+        dominating superset of S needs, and otherwise returns such a superset
+        of exactly that size."""
+        checks = 0
+        for g in connected_graphs_upto(6):
+            search = domination._Optimizer(g, None)
+            full = (1 << g.n) - 1
+            for size in range(4):
+                for s in itertools.combinations(range(g.n), size):
+                    mask = sum(1 << v for v in s)
+                    und = full & ~domination._union(g.closed_masks, mask)
+                    opt = size + brute_residual(g, _bits(und), _bits(full & ~mask))
+                    assert search.forced(mask, opt - 1) is None, (g.closed_masks, s)
+                    for limit in (opt, opt + 1):
+                        got = search.forced(mask, limit)
+                        assert got & mask == mask and got.bit_count() == opt, (g.closed_masks, s)
+                        assert is_dominating(g, set(_bits(got))), (g.closed_masks, s)
+                    checks += 3
+        # 143 connected graphs, 5,362 sets S, three limits each
+        assert checks == 16_086
 
 
 class TestOneContraction:
@@ -682,11 +705,11 @@ class TestSearchTrees:
         g = self.GRAPHS[name]()
         assert g.n == want["n"]
         optimizer_table, enumerator_table = GammaTable(), GammaTable()
-        gamma, witness = domination._Optimizer(g, optimizer_table).run()
-        enumerator = domination._Enumerator(g, gamma, enumerator_table)
+        result = domination_number(g, optimizer_table)
+        enumerator = domination._Enumerator(g, result.gamma, enumerator_table)
         found = []
         assert enumerator.visit_all(lambda s: found.append(sorted(s)) or True)
-        assert (gamma, sorted(witness)) == (want["gamma"], want["witness"])
+        assert (result.gamma, sorted(result.witness)) == (want["gamma"], want["witness"])
         assert optimizer_table.nodes == want["optimizer_nodes"]
         assert enumerator_table.nodes == want["enumerator_nodes"]
         assert found == want["mds"]
@@ -733,7 +756,7 @@ class TestLowerBound:
         try:
             for name in ("c9", "degree23_n19", "grid_5x8", "p7free_nv4"):
                 g = TestSearchTrees.GRAPHS[name]()
-                gamma, _ = domination._Optimizer(g, None).run()
+                gamma = domination_number(g).gamma
                 domination._Enumerator(g, gamma, None).visit_all(lambda s: True)
                 states += [(g, und, avail) for und, avail in asked]
                 asked.clear()
