@@ -46,12 +46,15 @@ level of its coverage c_x = |N[x] ∩ und|, and walks the levels from
 counted exactly in units of 1/lcm(1..width), so the ceiling is exact. Each
 component's bound, computed once where the optimizer splits, is handed to
 the node that branches on it. The reductions walk only their marked
-vertices (below), lowest set bit first. The inner dominance loops ask
-"which two-hop neighbours of y are still in the mask?": they walk a
-per-vertex list of two-hop neighbours and test one bit per entry instead of
-decoding ``two[y] & mask``. The two-hop masks and lists, ``width`` and the
-lcm units are built once per graph and kept with it
-(``LabeledGraph.search_setup``), so every search of one graph shares them.
+vertices (below), lowest set bit first. Both dominance rules are subset
+tests over closed neighbourhoods, as in set-cover branching (Fomin,
+Grandoni & Kratsch, J. ACM 2009), so each is an intersection of at most
+``width`` masks: the available x whose coverage contains N[y] ∩ und are
+avail ANDed with N[z] for every z of N[y] ∩ und, and the undominated v
+whose live dominators contain N[u] ∩ avail are und ANDed with N[x] for
+every x of N[u] ∩ avail. The two-hop masks, ``width`` and the lcm units
+are built once per graph and kept with it (``LabeledGraph.search_setup``),
+so every search of one graph shares them.
 Sparse masks (a branch set, a component frontier, a solution) go through
 the graphs module's ``_bits`` generator, which costs per set bit rather than
 per bit position. Every walk keeps ascending order where order matters, so the
@@ -62,35 +65,53 @@ and from a node to its children, und and avail only lose bits: a child is
 its parent's fixpoint with the branch vertex's neighbourhood cleared from
 und, the candidates tried so far cleared from avail and, in the optimizer,
 the other parts of a component split cleared from und. Each rule is
-monotone under clearing, so a cleared bit can make it fire only near itself:
+monotone under clearing, so a cleared bit can make it fire only close to
+itself:
 
 - a forced take at v (at most one live dominator in N[v]) only when a
   vertex of N[v] leaves avail;
-- candidate dominance at y (N[y] ∩ und inside N[x] ∩ und for an available
-  x within two hops) only when a vertex of N[y] leaves und, since leaving
-  avail only removes competitors x and leaving und elsewhere only shrinks
-  the covering side;
-- element dominance at v (N[u] ∩ avail inside N[v] ∩ avail for an
-  undominated u within two hops) only when a vertex of such an N[u] leaves
-  avail, since leaving und only removes competitors u and leaving avail
-  elsewhere only shrinks N[v] ∩ avail.
+- candidate dominance of y (N[y] ∩ und inside N[x] ∩ und for another
+  available x) only when a vertex of N[y] leaves und, since leaving avail
+  only removes competitors x and leaving und elsewhere only shrinks the
+  covering side;
+- element dominance by u (N[u] ∩ avail inside N[v] ∩ avail for another
+  undominated v) only when a vertex of N[u] leaves avail, since leaving
+  und only removes victims v and leaving avail elsewhere only shrinks the
+  victims' live sets.
 
-So ``reduce`` keeps one mark mask per rule. Every check clears its mark, and
-every cleared bit marks where it can make a rule fire: a vertex leaving
-avail marks its closed neighbourhood for forced takes and the closed two-hop
-masks of the undominated vertices in that neighbourhood for element
-dominance; a vertex leaving und marks its closed neighbourhood for candidate
-dominance (a forced take at d marks the two-hop mask of d for all of N[d]).
-No rule can make itself fire again (a forced take clears every undominated
-vertex whose live set it shrinks, candidate dominance clears only avail,
-element dominance only und), so each walk reads its marks once, when it
-starts, and visits them in ascending order. The root starts fully marked; a
-child starts marked only where the bits it lost since its parent's fixpoint
-can act. An unmarked vertex would not fire if checked, so every pass fires
-the same reductions in the same order as a pass over every vertex: γ,
-witnesses, node counts and the MDS visit order are those of full passes. The
-tests check ``reduce`` against a full-pass reference (``tests/bruteforce.py``)
-and pin whole search trees (``tests/golden/search_trees.json``).
+So ``reduce`` keeps one mark mask per rule: the forced and the candidate
+walk check the vertex that may go, the element walk the dominator u, whose
+victims it drops. Every check clears its mark, and every cleared bit marks
+where it can make a rule fire: a vertex leaving avail marks its closed
+neighbourhood for forced takes and for element dominance; a vertex leaving
+und marks its closed neighbourhood for candidate dominance (a forced take
+at d marks the two-hop mask of d for all of N[d], and no dominator, since
+it clears every undominated vertex whose live set it shrinks). No rule can
+make itself fire again (candidate dominance clears only avail, element
+dominance only und), so each walk reads its marks once, when it starts,
+and visits them in ascending order. The root starts fully marked; a child
+starts marked only where the bits it lost since its parent's fixpoint can
+act.
+
+The search tree is that of full passes over every vertex. Within one
+walk, "dominates" (a superset, or an equal set and the lower id) is
+transitive, and the walk changes neither side of what it compares: the
+candidate walk clears only avail and compares sets in und, the element
+walk the reverse. So a walk drops exactly the vertices dominated when it
+starts, in whatever order it visits them: each has a dominator that
+nothing dominates, which stays to the end of the walk. An unmarked vertex
+would not go if checked, and an unmarked u dominates no one, since u gains
+victims only when its own live set shrinks, which marks it. The marks that
+drops set are ORs, so they do not depend on the order of the drops either.
+An undominated vertex with no live dominator ends ``reduce`` in None
+either way: the element walk returns None at such a u, and full passes
+return None at their next forced walk, because the lowest such vertex
+stays undominated and marked. So every pass fires the same reductions as a
+full pass, and γ, witnesses, node counts and the MDS visit order are those
+of full passes. The tests check ``reduce`` against a full-pass reference
+(``tests/bruteforce.py``), on every state of every connected graph with
+n ≤ 5 among others, and pin whole search trees
+(``tests/golden/search_trees.json``).
 
 Everything is deterministic: ties break toward the lowest vertex id.
 
@@ -212,6 +233,15 @@ def _union(masks: list[int], members: int) -> int:
     return out
 
 
+def _meet(masks: list[int], members: int, out: int) -> int:
+    """out ANDed with masks[v] for every set bit v of a sparse mask."""
+    while members and out:
+        low = members & -members
+        out &= masks[low.bit_length() - 1]
+        members ^= low
+    return out
+
+
 class _Search:
     """Shared machinery for the optimizer and the enumerator.
 
@@ -227,7 +257,7 @@ class _Search:
         self.n = g.n
         self.full = (1 << g.n) - 1
         self.tick = (GammaTable() if table is None else table).tick
-        self.two, self.near, self.width, self.units = g.search_setup
+        self.two, self.width, self.units = g.search_setup
 
     def greedy_cover(self) -> int:
         """Greedy max-coverage dominating set made irredundant, as a mask; the
@@ -261,22 +291,23 @@ class _Search:
         """Apply the exact reductions to a fixpoint; (forced, und, avail) or None.
 
         Each pass takes forced unique dominators, then (unless
-        solution_preserving) drops dominated candidates, then drops
-        automatically dominated vertices, each rule walking only its marked
-        vertices in ascending order (see the module docstring). ``since`` is
+        solution_preserving) drops each marked candidate that some other
+        available vertex dominates, then drops the undominated vertices that
+        each marked undominated vertex dominates; each rule walks its marked
+        vertices in ascending order and tests subsets by intersecting
+        closed neighbourhoods (see the module docstring). None when some
+        undominated vertex has no available dominator. ``since`` is
         the (und, avail) of a fixpoint of this search that the state was cut
         from by clearing bits; then only the vertices those bits can make
         fire start marked. With ``since`` None every vertex does.
         """
         nb = self.nb
-        near = self.near
         two = self.two
         candidate_dominance = not self.solution_preserving
         if since is None:
             mark_forced = mark_candidate = mark_element = self.full
         else:
-            mark_forced = _union(nb, since[1] & ~avail)
-            mark_element = _union(two, mark_forced & und)
+            mark_forced = mark_element = _union(nb, since[1] & ~avail)
             mark_candidate = _union(nb, since[0] & ~und) if candidate_dominance else 0
         changed = True
         forced = 0
@@ -302,7 +333,8 @@ class _Search:
             if not und:
                 break
             if candidate_dominance:
-                # y is useless if some kept x covers a superset
+                # y is useless if some other kept x covers a superset; over
+                # holds the kept x whose closed neighbourhood contains cy
                 todo = mark_candidate & avail
                 mark_candidate = 0
                 while todo:
@@ -311,41 +343,34 @@ class _Search:
                     y = low.bit_length() - 1
                     cy = nb[y] & und
                     if cy:
-                        for x in near[y]:
-                            if not avail >> x & 1:
-                                continue
-                            cx = nb[x] & und
-                            if cy & ~cx:
-                                continue
-                            if cy != cx or x < y:
-                                break
-                        else:
-                            continue
+                        over = _meet(nb, cy, avail ^ low)
+                        if not over & (low - 1) and not _union(nb, over) & und & ~cy:
+                            continue  # each such x has a higher id and covers just cy
                     avail ^= low
                     changed = True
                     mark_forced |= nb[y]
-                    mark_element |= _union(two, nb[y] & und)
-            # element dominance: v is automatically dominated once u is
+                    mark_element |= nb[y]
+            # element dominance: every v whose live dominators include all of
+            # u's is automatically dominated once u is
             todo = mark_element & und
             mark_element = 0
             while todo:
                 low = todo & -todo
                 todo ^= low
-                v = low.bit_length() - 1
-                lv = nb[v] & avail
-                for u in near[v]:
-                    if not und >> u & 1:
-                        continue
-                    lu = nb[u] & avail
-                    if lu & ~lv:
-                        continue
-                    if lu != lv or u < v:
-                        break
-                else:
-                    continue
-                und ^= low
-                changed = True
-                mark_candidate |= nb[v]
+                if not und & low:
+                    continue  # dropped earlier in this walk
+                lu = nb[low.bit_length() - 1] & avail
+                if not lu:
+                    return None
+                victims = _meet(nb, lu, und ^ low)
+                if victims & (low - 1):
+                    for v in _bits(victims & (low - 1)):
+                        if nb[v] & avail == lu:
+                            victims ^= 1 << v  # of two equal live sets the lower id stays
+                if victims:
+                    und ^= victims
+                    changed = True
+                    mark_candidate |= _union(nb, victims)
         return forced, und, avail
 
     def lower_bound(

@@ -85,7 +85,6 @@ class SearchSetup(NamedTuple):
     masks (see ``domination``), built once per graph."""
 
     two: tuple[int, ...]  # closed two-hop masks
-    near: tuple[list[int], ...]  # two-hop neighbours of v without v, ascending
     width: int  # the largest closed neighbourhood
     units: tuple[int, ...]  # units[c] = lcm(1..width) // c; units[0] = 0
 
@@ -174,17 +173,15 @@ class LabeledGraph:
         the searches of one graph share it."""
         nb = self.closed_masks
         two = []
-        near = []
-        for v, m in enumerate(nb):
+        for m in nb:
             reach = 0
             for w in _bits(m):
                 reach |= nb[w]
             two.append(reach)
-            near.append(list(_bits(reach & ~(1 << v))))
         width = self.max_degree() + 1
         lcm = math.lcm(*range(1, width + 1))
         units = (0,) + tuple(lcm // c for c in range(1, width + 1))
-        return SearchSetup(tuple(two), tuple(near), width, units)
+        return SearchSetup(tuple(two), width, units)
 
     # -- pure operations ---------------------------------------------------
 

@@ -857,6 +857,32 @@ class TestIncrementalReduce:
         assert children >= 250
 
     @pytest.mark.parametrize("kind", sorted(SEARCHES))
+    def test_every_state_of_the_small_graphs(self, kind):
+        # every (und, avail) of every connected graph with n <= 5 from a
+        # fresh start, and every one-bit child of each fixpoint for n <= 4:
+        # ties of equal sets and undominated vertices with no live
+        # dominator are all among them
+        states = children = 0
+        for g in connected_graphs_upto(5):
+            search = self.SEARCHES[kind](g)
+            preserving = search.solution_preserving
+            for und, avail in itertools.product(range(search.full + 1), repeat=2):
+                got = search.reduce(und, avail)
+                assert got == self.expected(g, und, avail, preserving)
+                states += 1
+                if got is None or g.n > 4:
+                    continue
+                _, fix_und, fix_avail = got
+                cut = [(fix_und & ~(1 << bit), fix_avail) for bit in _bits(fix_und)]
+                cut += [(fix_und, fix_avail & ~(1 << bit)) for bit in _bits(fix_avail)]
+                for child_und, child_avail in cut:
+                    assert search.reduce(child_und, child_avail, got[1:]) == self.expected(
+                        g, child_und, child_avail, preserving
+                    )
+                children += len(cut)
+        assert (states, children) == (23188, {"enumerator": 3067, "optimizer": 617}[kind])
+
+    @pytest.mark.parametrize("kind", sorted(SEARCHES))
     def test_one_bit_below_fixpoints_of_arbitrary_states(self, kind):
         # arbitrary states reach fixpoints the search never builds (an
         # undominated vertex that is not available, say), where one cleared
