@@ -35,8 +35,8 @@ from .graphio import (
 )
 from .graphs import GraphError, LabeledGraph
 
+# a usage error exits 2 through click's UsageError
 EXIT_FAIL = 1
-EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 

@@ -44,9 +44,9 @@ at once. Otherwise the fractional part ORs N[x] of each available x into the
 level of its coverage c_x = |N[x] ∩ und|, and walks the levels from
 ``width`` down: the undominated vertices first met at level c add 1/c,
 counted exactly in units of 1/lcm(1..width), so the ceiling is exact. Each
-component's bound, computed once where the optimizer splits, is handed to
-the node that branches on it. The reductions walk only their marked
-vertices (below), lowest set bit first. Both dominance rules are subset
+part's bound is computed once, where ``min_dominating`` splits, and read
+again at the part's node in the same call. The reductions walk only their
+marked vertices (below), lowest set bit first. Both dominance rules are subset
 tests over closed neighbourhoods, as in set-cover branching (Fomin,
 Grandoni & Kratsch, J. ACM 2009), so each is an intersection of at most
 ``width`` masks: the available x whose coverage contains N[y] ∩ und are
@@ -465,7 +465,12 @@ class _Optimizer(_Search):
         dominates und, as a mask, or None.
 
         ``since`` is handed to ``reduce``: the fixpoint (und, avail) this
-        state was cut from (None at the root).
+        state was cut from (None at the root). The reduced state splits into
+        parts no vertex covers across, and each part is one search node:
+        counted, checked against its bound and cap, then branched on its
+        branch set. Each child is the fixpoint with bits cleared, capped one
+        below the best set found so far, so any set it returns is the new
+        best.
         """
         if not und:
             return 0
@@ -487,47 +492,29 @@ class _Optimizer(_Search):
         need = limit - k if len(comps) == 1 else None
         bounds = [self.lower_bound(c, avail, need) for c in comps]
         remaining = sum(bound for bound, _ in bounds)
-        # a lone component's bound is checked inside its node, after that
+        # a lone component's bound is checked in the part loop, after its
         # node is counted: the pinned node counts include such nodes
         if len(comps) > 1 and remaining > limit - k:
             return None
         # no vertex covers two parts, so the parts' sets and forced are disjoint
         for comp, (bound, branch_live) in zip(comps, bounds):
             remaining -= bound
-            sub = self.solve_component(
-                comp, avail, limit - forced.bit_count() - remaining, fixpoint, bound, branch_live
-            )
-            if sub is None:
+            cap = limit - forced.bit_count() - remaining
+            self.tick()
+            if cap <= 0 or bound > cap:
                 return None
-            forced |= sub
+            best: Optional[int] = None
+            sub_avail = avail
+            for v in _bits(branch_live):
+                sub_avail &= ~(1 << v)
+                sub_cap = (cap if best is None else best.bit_count() - 1) - 1
+                sub = self.min_dominating(comp & ~self.nb[v], sub_avail, sub_cap, fixpoint)
+                if sub is not None:
+                    best = sub | (1 << v)
+            if best is None:
+                return None
+            forced |= best
         return forced
-
-    def solve_component(
-        self,
-        und: int,
-        avail: int,
-        limit: int,
-        fixpoint: tuple[int, int],
-        bound: int,
-        branch_live: int,
-    ) -> Optional[int]:
-        """Branch on ``branch_live``, the branch set of und, which is all of
-        the reduced ``fixpoint`` (und, avail) or one part of it; ``bound`` is
-        its lower bound. Each child is that fixpoint with bits cleared, capped
-        one below the best set found so far, so any set it returns is the new
-        best."""
-        self.tick()
-        if limit <= 0 or bound > limit:
-            return None
-        best: Optional[int] = None
-        sub_avail = avail
-        for v in _bits(branch_live):
-            sub_avail &= ~(1 << v)
-            cap = (limit if best is None else best.bit_count() - 1) - 1
-            sub = self.min_dominating(und & ~self.nb[v], sub_avail, cap, fixpoint)
-            if sub is not None:
-                best = sub | (1 << v)
-        return best
 
 
 class _Enumerator(_Search):
@@ -614,11 +601,12 @@ class GammaTable:
     builds anyway, so the table keeps a tuple of ints per graph, never the
     graph itself; labels play no part. A miss of ``solve`` calls this module's
     ``domination_number`` (looked up at call time) and stores what it
-    returns; a miss of ``decide`` checks the γ witness of ``solve`` and runs
-    the enumeration only when that witness holds. A ``BudgetExceeded``
-    passes through and nothing is stored. A hit costs no search nodes and
-    returns what a miss would: the witness depends on the graph alone, not
-    on which caller asked first. ``solve_masks`` asks by the key itself, so the contraction searches
+    returns; a miss of ``decide`` checks the γ witness of ``solve`` and, only
+    when that witness holds, enumerates until a minimum dominating set fails
+    the predicate. A ``BudgetExceeded`` passes through and nothing is
+    stored. A hit costs no search nodes and returns what a miss would: the
+    witness depends on the graph alone, not on which caller asked first.
+    ``solve_masks`` asks by the key itself, so the contraction searches
     keep no graphs: a hit builds none, and a miss builds one with ``PLAIN``
     labels only to solve it.
     """
@@ -660,11 +648,27 @@ class GammaTable:
     ) -> Decision:
         """Does every minimum dominating set of g satisfy ``holds``?
         Witness: one that does not. Decided at most once per adjacency and
-        predicate; the deciders check that g is connected."""
+        predicate; the deciders check that g is connected.
+
+        The γ witness is a minimum dominating set, so a witness that fails
+        ``holds`` is the answer without a search; otherwise the enumeration
+        runs until a minimum dominating set fails ``holds``."""
         key = (holds, g.closed_masks)
         decision = self._decisions.get(key)
         if decision is None:
-            decision = _every_minimum_set(g, self, holds)
+            bad: Optional[frozenset[int]] = self.solve(g).witness
+            if holds(g, bad):
+                bad = None
+
+                def check(s: frozenset[int]) -> bool:
+                    nonlocal bad
+                    if holds(g, s):
+                        return True
+                    bad = s
+                    return False
+
+                visit_minimum_dominating_sets(g, check, self)
+            decision = Decision(bad is None, bad)
             decision = self._decisions[key] = self._shared.setdefault(decision, decision)
         return decision
 
@@ -703,28 +707,6 @@ def _connected_table(g: LabeledGraph, table: Optional[GammaTable], question: str
     if not g.is_connected():
         raise GraphError(f"{question} requires a connected graph")
     return GammaTable() if table is None else table
-
-
-def _every_minimum_set(
-    g: LabeledGraph, table: GammaTable, holds: Callable[[LabeledGraph, frozenset[int]], bool]
-) -> Decision:
-    """``GammaTable.decide`` on a miss: the γ witness is a minimum
-    dominating set, so a witness that fails ``holds`` is the answer without
-    a search; otherwise enumerate until a minimum dominating set fails
-    ``holds``."""
-    witness = table.solve(g).witness
-    if not holds(g, witness):
-        return Decision(False, witness)
-    bad: list[frozenset[int]] = []
-
-    def check(s: frozenset[int]) -> bool:
-        if not holds(g, s):
-            bad.append(s)
-            return False
-        return True
-
-    visit_minimum_dominating_sets(g, check, table)
-    return Decision(not bad, bad[0] if bad else None)
 
 
 def all_efficient_md(g: LabeledGraph, table: Optional[GammaTable] = None) -> Decision:

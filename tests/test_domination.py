@@ -363,6 +363,24 @@ class TestDeciders:
                     assert is_dominating(g, s) and len(s) == gamma and not holds(g, s), name
         assert subcubic_classes == {True, False}
 
+    def test_deciders_spend_gamma_then_stop_at_the_first_failing_set(self):
+        # a decider's nodes on a fresh table are γ's, plus, when the γ witness
+        # passes the predicate, those of an enumeration that stops at its
+        # first failing set (the visitor's append returns None, which stops
+        # the visit): a decider never enumerates past its counterexample
+        early_stops = 0
+        for g in connected_graphs_upto(7):
+            for decide, holds in ((all_efficient_md, is_efficient), (all_independent_md, is_independent)):
+                expected = GammaTable()
+                if holds(g, expected.solve(g).witness):
+                    failed = []
+                    visit_minimum_dominating_sets(g, lambda s: holds(g, s) or failed.append(s), expected)
+                    early_stops += bool(failed)
+                table = GammaTable()
+                decide(g, table)
+                assert table.nodes == expected.nodes, (g.closed_masks, holds.__name__)
+        assert early_stops > 0
+
 
 class TestGreedyCover:
     def test_irredundant_dominating_set(self):
