@@ -26,6 +26,17 @@ back is a mask. γ is ``forced(0, |greedy| - 1)``, or the greedy cover when
 nothing smaller exists; the γ + 1 clause of ``ct_gamma`` is one ``forced``
 per vertex set that two edges span.
 
+``forced`` bounds the residual before it reduces it. With und = V ∖ N[mask],
+avail = V ∖ mask and need = limit - |mask|, it returns None when und is
+non-empty and ``lower_bound(und, avail, need)`` exceeds need, and that
+refusal costs no node and no ``reduce``. It is sound because every
+completion D ⊇ mask has D ∖ mask inside avail, and D ∖ mask must dominate
+und, so it needs at least the bound's count of vertices. A vertex of und
+with no live dominator makes the bound n + 1, which refuses every limit.
+The check refuses most sets of the γ + 1 clause, whose residuals differ from
+the whole graph by a few vertices, and a graph whose root bound already
+proves the greedy cover optimal takes no γ node.
+
 Vertex sets are int bitmasks, walked in ascending vertex order, and a graph
 is its closed-neighbourhood masks (``LabeledGraph.closed_masks``): the
 searches and the set predicates (``is_dominating``, ``is_independent``,
@@ -450,12 +461,18 @@ class _Search:
 class _Optimizer(_Search):
     def forced(self, mask: int, limit: int) -> Optional[int]:
         """Can the vertices of ``mask`` be completed to a dominating set of at
-        most ``limit`` vertices? The smallest such set as a mask, or None."""
-        if mask.bit_count() > limit:
+        most ``limit`` vertices? The smallest such set as a mask, or None.
+
+        The unreduced residual's bound is checked first, so a set it refuses
+        costs no node and no ``reduce``."""
+        need = limit - mask.bit_count()
+        if need < 0:
             return None
-        rest = self.min_dominating(
-            self.full & ~_union(self.nb, mask), self.full & ~mask, limit - mask.bit_count()
-        )
+        und = self.full & ~_union(self.nb, mask)
+        avail = self.full & ~mask
+        if und and self.lower_bound(und, avail, need)[0] > need:
+            return None
+        rest = self.min_dominating(und, avail, need)
         return None if rest is None else rest | mask
 
     def min_dominating(

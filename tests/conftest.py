@@ -22,6 +22,28 @@ def gamma_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def search_nodes(monkeypatch):
+    """The nodes each search takes, in call order: every ``forced`` solve
+    (γ and the ct clause's sets) and every enumeration."""
+    counts = []
+
+    def counted(run):
+        def search(self, *args):
+            table = self.tick.__self__
+            before = table.nodes
+            try:
+                return run(self, *args)
+            finally:
+                counts.append(table.nodes - before)
+
+        return search
+
+    monkeypatch.setattr(domination._Optimizer, "forced", counted(domination._Optimizer.forced))
+    monkeypatch.setattr(domination._Enumerator, "visit_all", counted(domination._Enumerator.visit_all))
+    return counts
+
+
 @pytest.fixture(scope="session")
 def small_connected_corpus():
     """All connected graphs on up to 6 vertices, one per isomorphism class."""

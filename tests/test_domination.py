@@ -395,17 +395,25 @@ class TestForced:
     def test_matches_the_residual_brute_force(self):
         """forced(S, limit) refuses every limit below the fewest vertices a
         dominating superset of S needs, and otherwise returns such a superset
-        of exactly that size."""
+        of exactly that size. Many refusals come from the bound on the
+        unreduced residual, before any ``reduce``."""
         checks = 0
+        root_refusals = 0
         for g in connected_graphs_upto(6):
             search = domination._Optimizer(g, None)
+            reduces = []
+            reduce = search.reduce
+            search.reduce = lambda *args: reduces.append(args) or reduce(*args)
             full = (1 << g.n) - 1
             for size in range(4):
                 for s in itertools.combinations(range(g.n), size):
                     mask = sum(1 << v for v in s)
                     und = full & ~domination._union(g.closed_masks, mask)
                     opt = size + brute_residual(g, _bits(und), _bits(full & ~mask))
+                    reduces.clear()
                     assert search.forced(mask, opt - 1) is None, (g.closed_masks, s)
+                    if size < opt - 1 and not reduces:
+                        root_refusals += 1  # a limit that leaves room, refused unreduced
                     for limit in (opt, opt + 1):
                         got = search.forced(mask, limit)
                         assert got & mask == mask and got.bit_count() == opt, (g.closed_masks, s)
@@ -413,6 +421,21 @@ class TestForced:
                     checks += 3
         # 143 connected graphs, 5,362 sets S, three limits each
         assert checks == 16_086
+        assert root_refusals > 0
+
+    def test_refusal_before_reduce_costs_no_node(self, monkeypatch):
+        """On the satisfiable fixture build every set that two edges span is
+        refused at γ + 1 by its unreduced bound: no node, no ``reduce``."""
+        g, _ = build_subcubic(satisfiable_fixture())
+        table = GammaTable()
+        gamma = table.solve(g).gamma
+        search = domination._Optimizer(g, table)
+        monkeypatch.setattr(search, "reduce", None)  # any call raises TypeError
+        edges = [(1 << u) | (1 << v) for u, v in g.edges()]
+        nodes = table.nodes
+        for a, b in itertools.combinations(edges, 2):
+            assert search.forced(a | b, gamma + 1) is None
+        assert table.nodes == nodes
 
 
 class TestOneContraction:
@@ -658,16 +681,19 @@ class TestGammaTable:
         assert table.nodes == nodes_after_c6
         assert gamma_calls == [c9, c6]
 
-    def test_budget_bounds_every_search_together(self):
-        # every single γ solve below fits the budget; the searches together do not
-        g, _ = build_subcubic(satisfiable_fixture())
-        table = GammaTable(budget=1000)
+    def test_budget_bounds_every_search_together(self, search_nodes):
+        # every single search of the report fits the budget; the searches
+        # together do not, and they run out in the ct clause
+        g, _ = build_subcubic(gen_1in3(6, 1))
+        assert blocker_report(g, GammaTable()).ct == 3
+        assert max(search_nodes) <= 500 < sum(search_nodes)
+        table = GammaTable(budget=500)
         assert blocker_report(g, table).ct == "unknown"
-        assert table.nodes == 1001
-        table = GammaTable(budget=50)
+        assert table.nodes == 501
+        table = GammaTable(budget=500)
         with pytest.raises(BudgetExceeded) as exc:
             ct_gamma(g, table)
-        assert table.nodes == exc.value.nodes == 51
+        assert table.nodes == exc.value.nodes == 501
 
     def test_hit_costs_no_nodes_and_builds_no_graph(self, monkeypatch, gamma_calls, c6):
         built = []
