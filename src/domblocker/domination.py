@@ -139,13 +139,25 @@ the input graph, not a contraction at any depth of ``ct_definitional``, and
 not a graph that two corpus graphs share as a contraction. Only results of
 identical labeled graphs are shared; each kind of question still runs its
 own code path (the contraction search compares γ values, the deciders
-read the γ witness and then enumerate).
+read the γ witness and the counting certificate, and then enumerate).
 
-A decider asks whether every minimum dominating set satisfies a predicate.
-The γ witness is one, so the decider checks it first: when it fails, it is
-the counterexample and nothing is enumerated. Only a witness that passes
-sends the decider to the enumeration, which then visits minimum dominating
-sets until one fails, or all of them when the answer is yes.
+A decider asks whether every minimum dominating set satisfies a predicate,
+efficiency or independence. The γ witness is one, so the decider checks it
+first: when it fails, it is the counterexample and nothing is enumerated.
+A witness that passes meets a counting certificate next: when the γ largest
+closed-neighbourhood sizes sum to exactly n, the answer is yes with no
+search. A dominating set D has Σ_{v∈D} |N[v]| ≥ n, with equality iff every
+vertex has exactly one dominator in D, that is iff D is efficient; when
+|D| = γ the sum is at most that of the γ largest sizes, which is n, so
+every minimum dominating set is efficient, and so independent (two adjacent
+members would both dominate each other). On a subcubic graph it fires
+whenever γ = n / 4, since every member of a minimum dominating set then has
+degree 3: so on every satisfiable subcubic build, where γ sits at its floor
+and every minimum dominating set is a perfect code, no decider enumerates.
+Only a witness that passes and a certificate that does not fire send the
+decider to the enumeration, which then visits minimum dominating sets until
+one fails, or all of them when the answer is yes. An efficient "yes" is
+stored as the independent "yes" too.
 
 ``ct_gamma`` contracts nothing. It reads ct from its characterization:
 the all-independent and all-efficient decisions, which ``blocker_report``
@@ -619,10 +631,15 @@ class GammaTable:
     graph itself; labels play no part. A miss of ``solve`` calls this module's
     ``domination_number`` (looked up at call time) and stores what it
     returns; a miss of ``decide`` checks the γ witness of ``solve`` and, only
-    when that witness holds, enumerates until a minimum dominating set fails
+    when that witness holds and the counting certificate (the module
+    docstring) does not fire, enumerates until a minimum dominating set fails
     the predicate. A ``BudgetExceeded`` passes through and nothing is
     stored. A hit costs no search nodes and returns what a miss would: the
     witness depends on the graph alone, not on which caller asked first.
+    So an efficient "yes" is also stored as the independent "yes", which a
+    miss would return too, but an independent "no" is never stored as the
+    efficient "no": its witness could differ from the one the efficient
+    enumeration finds first.
     ``solve_masks`` asks by the key itself, so the contraction searches
     keep no graphs: a hit builds none, and a miss builds one with ``PLAIN``
     labels only to solve it.
@@ -663,17 +680,24 @@ class GammaTable:
     def decide(
         self, g: LabeledGraph, holds: Callable[[LabeledGraph, frozenset[int]], bool]
     ) -> Decision:
-        """Does every minimum dominating set of g satisfy ``holds``?
-        Witness: one that does not. Decided at most once per adjacency and
-        predicate; the deciders check that g is connected.
+        """Does every minimum dominating set of g satisfy ``holds``, which
+        is ``is_efficient`` or ``is_independent``? Witness: one that does
+        not. Decided at most once per adjacency and predicate; the deciders
+        check that g is connected.
 
         The γ witness is a minimum dominating set, so a witness that fails
-        ``holds`` is the answer without a search; otherwise the enumeration
-        runs until a minimum dominating set fails ``holds``."""
-        key = (holds, g.closed_masks)
+        ``holds`` is the answer without a search. A witness that holds is
+        followed by the counting certificate: when the γ largest closed
+        neighbourhoods have n vertices together, every minimum dominating
+        set covers each vertex exactly once, so it is efficient and
+        independent, and the answer is yes with no search. Otherwise the
+        enumeration runs until a minimum dominating set fails ``holds``."""
+        masks = g.closed_masks
+        key = (holds, masks)
         decision = self._decisions.get(key)
         if decision is None:
-            bad: Optional[frozenset[int]] = self.solve(g).witness
+            result = self.solve(g)
+            bad: Optional[frozenset[int]] = result.witness
             if holds(g, bad):
                 bad = None
 
@@ -684,9 +708,12 @@ class GammaTable:
                     bad = s
                     return False
 
-                visit_minimum_dominating_sets(g, check, self)
+                if sum(sorted(m.bit_count() for m in masks)[-result.gamma :]) != g.n:
+                    visit_minimum_dominating_sets(g, check, self)
             decision = Decision(bad is None, bad)
             decision = self._decisions[key] = self._shared.setdefault(decision, decision)
+            if holds is is_efficient and decision.holds:
+                self._decisions[(is_independent, masks)] = decision
         return decision
 
 

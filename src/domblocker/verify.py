@@ -32,9 +32,14 @@ all-independent decider read one decision of the table, which is the γ
 witness when that set fails the predicate and the enumeration's first
 failing set otherwise. So every decider's "no" is re-checked in full by set
 predicates (``_counterexample_problems``): its witness dominates, has γ
-members and fails the predicate. The definitional contract-and-compare
-oracle stays independent of the deciders, and brute-force satisfiability
-stays independent of every γ.
+members and fails the predicate. A decider's "yes" may come from counting
+alone (``GammaTable.decide`` answers yes when the γ largest closed
+neighbourhoods hold n vertices together), and on a tight subcubic build it
+always does, so ``subcubic-all-efficient-iff-tight`` would reduce to
+comparing γ with n / 4. The claim therefore checks a "yes" against the
+enumeration: every minimum dominating set must be efficient. The
+definitional contract-and-compare oracle stays independent of the deciders,
+and brute-force satisfiability stays independent of every γ.
 
 ``ct_definitional`` is the one contraction search, and both corpus claims
 ask it: ``contraction-equivalences`` reads whether one contraction lowers γ
@@ -239,12 +244,19 @@ def verify_subcubic(f: Formula1in3, table: GammaTable) -> list[ClaimVerdict]:
         tight = gamma == target
         efficient = all_efficient_md(g, table)
         ok = tight == efficient.holds
+        witness = efficient.witness
+        if efficient.holds:
+            # the decider may say yes by counting alone, so the enumeration
+            # checks the yes: no minimum dominating set may fail efficiency
+            mds = enumerate_minimum_dominating_sets(g, table)
+            witness = next((s for s in mds if not is_efficient(g, s)), None)
+            ok = ok and witness is None
         counter = None
-        if not efficient.holds:
-            witness_problems = _counterexample_problems(g, gamma, efficient.witness, is_efficient)
+        if witness is not None or not efficient.holds:
+            witness_problems = _counterexample_problems(g, gamma, witness, is_efficient)
             ok = ok and not witness_problems
             counter = {
-                "non_efficient_mds": sorted(efficient.witness),
+                "non_efficient_mds": sorted(witness),
                 "gamma": gamma,
                 "witness_problems": witness_problems,
             }

@@ -377,8 +377,10 @@ class TestUnwritableOutput:
         # a run that exits 3 before writing leaves the file as it was
         out = tmp_path / "x.json"
         out.write_text("earlier\n")
-        build = str(GOLDEN / "build_subcubic_fixture.json")
-        args = ["solve", "--format", "json", "-i", build, "--what", "ct", "--budget", "50", "-o", str(out)]
-        result = runner.invoke(main, args)
+        # ct of the gen_1in3(6, 1) build takes 518 nodes (the fixture build's
+        # takes none: the deciders' counting certificate answers both)
+        graph = emit_graph6(build_subcubic(gen_1in3(6, 1))[0]) + "\n"
+        args = ["solve", "--what", "ct", "--budget", "50", "-o", str(out)]
+        result = runner.invoke(main, args, input=graph)
         assert result.exit_code == 3
         assert out.read_text() == "earlier\n"

@@ -363,23 +363,101 @@ class TestDeciders:
                     assert is_dominating(g, s) and len(s) == gamma and not holds(g, s), name
         assert subcubic_classes == {True, False}
 
+    @staticmethod
+    def sizes_fill_n(g, gamma):
+        """The counting certificate, restated: the γ largest closed
+        neighbourhoods have n vertices together."""
+        sizes = sorted(g.degree(v) + 1 for v in range(g.n))
+        return sum(sizes[len(sizes) - gamma :]) == g.n
+
     def test_deciders_spend_gamma_then_stop_at_the_first_failing_set(self):
         # a decider's nodes on a fresh table are γ's, plus, when the γ witness
-        # passes the predicate, those of an enumeration that stops at its
-        # first failing set (the visitor's append returns None, which stops
-        # the visit): a decider never enumerates past its counterexample
-        early_stops = 0
+        # passes the predicate and the counting certificate does not fire,
+        # those of an enumeration that stops at its first failing set (the
+        # visitor's append returns None, which stops the visit): a decider
+        # never enumerates past its counterexample, and one whose certificate
+        # fires spends γ's nodes only
+        early_stops = certified = 0
         for g in connected_graphs_upto(7):
             for decide, holds in ((all_efficient_md, is_efficient), (all_independent_md, is_independent)):
                 expected = GammaTable()
-                if holds(g, expected.solve(g).witness):
-                    failed = []
-                    visit_minimum_dominating_sets(g, lambda s: holds(g, s) or failed.append(s), expected)
-                    early_stops += bool(failed)
+                result = expected.solve(g)
+                if holds(g, result.witness):
+                    if self.sizes_fill_n(g, result.gamma):
+                        certified += 1
+                    else:
+                        failed = []
+                        visit_minimum_dominating_sets(g, lambda s: holds(g, s) or failed.append(s), expected)
+                        early_stops += bool(failed)
                 table = GammaTable()
                 decide(g, table)
                 assert table.nodes == expected.nodes, (g.closed_masks, holds.__name__)
-        assert early_stops > 0
+        assert early_stops > 0 and certified > 0
+
+    @staticmethod
+    def certificate_cases():
+        """(name, graph): every connected graph with n <= 7, cycles C_3k,
+        complete graphs, the cube Q3 and satisfiable subcubic builds."""
+        for g in connected_graphs_upto(7):
+            yield f"n={g.n} {g.closed_masks}", g
+        for k in range(1, 6):
+            yield f"C{3 * k}", cycle_graph(3 * k)
+        for n in range(1, 7):
+            yield f"K{n}", complete_graph(n)
+        cube = [(u, u ^ 1 << b) for u in range(8) for b in range(3) if u < u ^ 1 << b]
+        yield "Q3", LabeledGraph.from_edges(8, cube)
+        yield "sat fixture", build_subcubic(satisfiable_fixture())[0]
+        yield "gen_1in3(6, 1)", build_subcubic(gen_1in3(6, 1))[0]
+
+    def test_counting_certificate_fires_only_where_every_mds_is_efficient(self, monkeypatch):
+        # the efficient decider enumerates exactly when its γ witness is
+        # efficient and the certificate does not fire; where it fires, the
+        # enumeration alone finds every minimum dominating set efficient
+        enumerated = []
+        visit = domination.visit_minimum_dominating_sets
+        monkeypatch.setattr(
+            domination,
+            "visit_minimum_dominating_sets",
+            lambda g, *args: enumerated.append(g) or visit(g, *args),
+        )
+        fired = set()
+        fired_at_7 = 0
+        for name, g in self.certificate_cases():
+            enumerated.clear()
+            table = GammaTable()
+            witness = table.solve(g).witness
+            decision = all_efficient_md(g, table)
+            if is_efficient(g, witness) and not enumerated:
+                assert decision.holds, name
+                assert self.enumerated(g, is_efficient), name
+                assert all_independent_md(g, table) is decision and not enumerated, name
+                fired.add(name)
+                fired_at_7 += g.n == 7 and name.startswith("n=")
+        assert fired_at_7 == 159
+        named = {"C3", "C6", "C9", "C12", "C15", "K1", "K6", "Q3", "sat fixture", "gen_1in3(6, 1)"}
+        assert named <= fired
+
+    def test_efficient_yes_answers_independent_as_a_miss_would(self):
+        # an efficient "yes" is stored as the independent "yes", so a graph
+        # whose efficient "yes" took an enumeration does not enumerate again;
+        # an independent "no" is never stored as the efficient "no", so each
+        # decision is the one a fresh table gives, whichever was asked first
+        enumerated_yes = 0
+        for g in connected_graphs_upto(7):
+            table = GammaTable()
+            table.solve(g)
+            gamma_nodes = table.nodes
+            efficient = all_efficient_md(g, table)
+            nodes = table.nodes
+            independent = all_independent_md(g, table)
+            assert independent == all_independent_md(g, GammaTable()), g.closed_masks
+            if efficient.holds:
+                assert independent is efficient and table.nodes == nodes, g.closed_masks
+                enumerated_yes += nodes > gamma_nodes
+            table = GammaTable()
+            all_independent_md(g, table)
+            assert all_efficient_md(g, table) == all_efficient_md(g, GammaTable()), g.closed_masks
+        assert enumerated_yes == 23  # one graph with n = 6, and 22 with n = 7
 
 
 class TestGreedyCover:
@@ -664,22 +742,25 @@ class TestGammaTable:
         assert table.solve(g).gamma > rmap.expected_gamma()  # unsatisfiable: above the floor
         assert len(gamma_calls) == 3  # two refused, one stored
 
-    def test_results_persist(self, gamma_calls, c6, c9):
+    def test_results_persist(self, gamma_calls):
+        # C8 and C5 enumerate to decide: on C9 and C6 the counting
+        # certificate answers with no node
+        c8, c5 = cycle_graph(8), cycle_graph(5)
         table = GammaTable()
-        first = table.solve(c9)
-        decision = all_independent_md(c9, table)
+        first = table.solve(c8)
+        decision = all_independent_md(c8, table)
         nodes = table.nodes
         assert nodes > 0
-        table.solve(c6)
-        all_independent_md(c6, table)
-        nodes_after_c6 = table.nodes
-        assert nodes_after_c6 > nodes
-        # γ and decisions of c9 outlive the move to c6, and cost no nodes
-        assert table.solve(c9) is first
-        assert table.solve_masks(c9.closed_masks) is first
-        assert all_independent_md(c9, table) is decision
-        assert table.nodes == nodes_after_c6
-        assert gamma_calls == [c9, c6]
+        table.solve(c5)
+        all_independent_md(c5, table)
+        nodes_after_c5 = table.nodes
+        assert nodes_after_c5 > nodes
+        # γ and decisions of c8 outlive the move to c5, and cost no nodes
+        assert table.solve(c8) is first
+        assert table.solve_masks(c8.closed_masks) is first
+        assert all_independent_md(c8, table) is decision
+        assert table.nodes == nodes_after_c5
+        assert gamma_calls == [c8, c5]
 
     def test_budget_bounds_every_search_together(self, search_nodes):
         # every single search of the report fits the budget; the searches

@@ -25,7 +25,7 @@ from domblocker import (
     unsatisfiable_fixture,
     validate_1in3,
 )
-from domblocker.reductions import build_p7free, build_subcubic
+from domblocker.reductions import SubcubicReductionMap, build_p7free, build_subcubic
 from domblocker.verify import (
     ClaimVerdict,
     all_three_var_formulas,
@@ -252,6 +252,26 @@ class TestFailurePlumbing:
         assert verdict.counterexample["witness_problems"] == [
             "non-efficient witness has 18 members, not gamma=17"
         ]
+
+    def test_efficient_yes_is_checked_against_the_enumeration(self, monkeypatch):
+        # the claim is told the unsatisfiable build is tight (its target is
+        # set to γ) and its decider says yes, as a counting certificate
+        # would: only the enumeration can refute the claim, and it does
+        monkeypatch.setattr(SubcubicReductionMap, "expected_gamma", lambda self: 17)
+        monkeypatch.setattr(verify_mod, "all_efficient_md", lambda g, table: Decision(True))
+        verdict = verify_subcubic(unsatisfiable_fixture(), GammaTable())[1]
+        assert (verdict.status, verdict.detail) == ("fail", "tight=True all_efficient=True")
+        g, _ = build_subcubic(unsatisfiable_fixture())
+        witness = verdict.counterexample["non_efficient_mds"]
+        assert is_dominating(g, witness) and not is_efficient(g, witness) and len(witness) == 17
+        assert verdict.counterexample["witness_problems"] == []
+        monkeypatch.undo()
+        # the true build's yes passes; its decider takes no node and the
+        # enumeration all 87 of the run
+        table = GammaTable()
+        sat = verify_subcubic(satisfiable_fixture(), table)[1]
+        assert (sat.status, sat.detail) == ("pass", "tight=True all_efficient=True")
+        assert table.nodes == 87
 
     def test_independence_counterexample_must_fail_the_predicate(self, monkeypatch):
         f = eight_pattern_formula()
