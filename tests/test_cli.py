@@ -21,6 +21,7 @@ from domblocker import (
     parse_dimacs_cnf,
     parse_edge_list_json,
     path_graph,
+    prism_graph,
     satisfiable_fixture,
     validate_1in3,
     verify,
@@ -80,6 +81,31 @@ class TestBuild:
             main, ["build", "--target", "subcubic"], input=emit_dimacs_cnf(satisfiable_fixture())
         )
         assert result.output == (GOLDEN / "build_subcubic_fixture.json").read_text()
+
+    @pytest.mark.parametrize(
+        "name, gen_args, target",
+        [
+            ("subcubic_n6_seed1", ["-n", "6", "--seed", "1"], "subcubic"),
+            ("p7free_n5_c21_seed2", ["-n", "5", "--flavor", "3sat", "--clauses", "21", "--seed", "2"], "p7free"),
+            ("clawfree_prism", None, "clawfree"),
+        ],
+    )
+    def test_golden_build_map_and_dot(self, runner, tmp_path, name, gen_args, target):
+        # every byte of one build per target: graph JSON, map sidecar and the
+        # DOT export of the JSON, so the label codec and styles are pinned
+        source = tmp_path / "source"
+        if gen_args is None:
+            source.write_text(emit_graph6(prism_graph()) + "\n")
+        else:
+            assert runner.invoke(main, ["gen", *gen_args, "-o", str(source)]).exit_code == 0
+        out = tmp_path / f"build_{name}.json"
+        result = runner.invoke(main, ["build", "--target", target, "-i", str(source), "-o", str(out)])
+        assert result.exit_code == 0 and result.output == ""
+        dot = runner.invoke(main, ["export", "--from", "json", "--to", "dot", "-i", str(out)])
+        assert dot.exit_code == 0
+        assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+        assert (tmp_path / f"{out.name}.map.json").read_bytes() == (GOLDEN / f"{out.name}.map.json").read_bytes()
+        assert dot.stdout_bytes == (GOLDEN / f"build_{name}.dot").read_bytes()
 
     def test_clawfree_from_graph6(self, runner):
         result = runner.invoke(
