@@ -4,8 +4,10 @@ generation, and DIMACS I/O.
 Two flavors are modeled. The all-positive exactly-3-bounded one-in-three
 flavor (each clause is three distinct variables, every variable occurs in
 exactly three clauses, a clause is satisfied when exactly one of its variables
-is true) and plain 3-SAT with signed literals. Variables are 1-based DIMACS
-style; an assignment is a tuple of bools indexed by variable-1.
+is true) and plain 3-SAT with signed literals. Each flavor's ``violated``
+method is its one clause rule: the brute-force oracles and the reduction
+converters all read it. Variables are 1-based DIMACS style; an assignment is
+a tuple of bools indexed by variable-1.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ class Formula1in3:
                 raise CnfError(f"clause {c} does not have exactly 3 literals")
         return Formula1in3(num_vars, normalized)  # type: ignore[arg-type]
 
+    def violated(self, a: Assignment) -> Optional[int]:
+        """The first clause without exactly one true variable under a, or None."""
+        for i, (x, y, z) in enumerate(self.clauses):
+            if a[x - 1] + a[y - 1] + a[z - 1] != 1:
+                return i
+        return None
+
 
 @dataclass(frozen=True)
 class Formula3Sat:
@@ -56,6 +65,14 @@ class Formula3Sat:
             if len(c) != 3:
                 raise CnfError(f"clause {c} does not have exactly 3 literals")
         return Formula3Sat(num_vars, normalized)  # type: ignore[arg-type]
+
+    def violated(self, a: Assignment) -> Optional[int]:
+        """The first clause with no true literal under a, or None: literal l
+        is true when a[|l| - 1] == (l > 0)."""
+        for i, (x, y, z) in enumerate(self.clauses):
+            if a[abs(x) - 1] != (x > 0) and a[abs(y) - 1] != (y > 0) and a[abs(z) - 1] != (z > 0):
+                return i
+        return None
 
 
 # -- validation ----------------------------------------------------------------
@@ -102,35 +119,26 @@ def validate_3sat(f: Formula3Sat) -> list[str]:
 # -- brute-force oracles ---------------------------------------------------------
 
 
-def _assignments(num_vars: int):
-    for bits in range(1 << num_vars):
-        yield tuple(bool(bits >> i & 1) for i in range(num_vars))
+def _first_satisfying(f: Formula1in3 | Formula3Sat) -> Optional[Assignment]:
+    """First assignment, in binary counting order, that violates no clause of
+    f in its flavor, or None. Exhaustive; guarded to 30 variables."""
+    if f.num_vars > BRUTE_FORCE_VAR_LIMIT:
+        raise CnfError(f"brute force limited to {BRUTE_FORCE_VAR_LIMIT} variables")
+    for bits in range(1 << f.num_vars):
+        assignment = tuple(bool(bits >> i & 1) for i in range(f.num_vars))
+        if f.violated(assignment) is None:
+            return assignment
+    return None
 
 
 def solve_1in3_brute(f: Formula1in3) -> Optional[Assignment]:
-    """First assignment (in binary counting order) giving exactly one true
-    variable per clause, or None. Exhaustive; guarded to 30 variables."""
-    if f.num_vars > BRUTE_FORCE_VAR_LIMIT:
-        raise CnfError(f"brute force limited to {BRUTE_FORCE_VAR_LIMIT} variables")
-    for assignment in _assignments(f.num_vars):
-        if all(sum(assignment[x - 1] for x in clause) == 1 for clause in f.clauses):
-            return assignment
-    return None
+    """First assignment giving exactly one true variable per clause, or None."""
+    return _first_satisfying(f)
 
 
 def solve_3sat_brute(f: Formula3Sat) -> Optional[Assignment]:
     """First satisfying assignment under ordinary clause semantics, or None."""
-    if f.num_vars > BRUTE_FORCE_VAR_LIMIT:
-        raise CnfError(f"brute force limited to {BRUTE_FORCE_VAR_LIMIT} variables")
-
-    def lit_true(assignment, lit):
-        value = assignment[abs(lit) - 1]
-        return value if lit > 0 else not value
-
-    for assignment in _assignments(f.num_vars):
-        if all(any(lit_true(assignment, l) for l in clause) for clause in f.clauses):
-            return assignment
-    return None
+    return _first_satisfying(f)
 
 
 # -- generators -------------------------------------------------------------------

@@ -769,10 +769,11 @@ def one_contraction_decision(g: LabeledGraph, table: Optional[GammaTable] = None
     Decided through the classical characterization: one contraction suffices
     exactly when some minimum dominating set contains an edge. The witness is
     an internal edge of such a set (contracting it merges two dominators).
+    When γ = 1 the dominating vertex's closed neighbourhood is all of g, so
+    the counting certificate of ``GammaTable.decide`` finds every minimum
+    dominating set independent, and the answer is no with no search past γ.
     """
     table = _connected_table(g, table, "contraction decision")
-    if table.solve(g).gamma == 1:
-        return Decision(False)
     verdict = all_independent_md(g, table)
     if verdict.holds:
         return Decision(False)

@@ -9,8 +9,9 @@ Labels do not survive graph6; the edge-list JSON form carries them losslessly.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
-from .graphs import GraphError, LabeledGraph, VertexLabel, PLAIN
+from .graphs import LABEL_KINDS, GraphError, LabeledGraph, VertexLabel, PLAIN
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -111,20 +112,23 @@ def parse_graph6(text: str) -> LabeledGraph:
 # -- edge-list JSON ----------------------------------------------------------
 
 
+# a label is an object holding its kind and each optional field that is set
+_OPTIONAL_FIELDS = tuple(f.name for f in fields(VertexLabel) if f.name != "kind")
+
+
 def emit_edge_list_json(g: LabeledGraph) -> str:
     d = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
     if any(lbl != PLAIN for lbl in g.labels):
-        d["labels"] = [lbl.to_dict() for lbl in g.labels]
+        d["labels"] = [{f: x for f, x in vars(lbl).items() if x is not None} for lbl in g.labels]
     return json.dumps(d, indent=2, sort_keys=True)
 
 
 def _label_from_json(pos: int, x) -> VertexLabel:
-    fields = ("var", "clause", "index", "source")
     kind = x.get("kind", "plain") if isinstance(x, dict) else None
-    if not (isinstance(kind, str) and all(x.get(f) is None or type(x[f]) is int for f in fields)):
+    if not (isinstance(kind, str) and all(x.get(f) is None or type(x[f]) is int for f in _OPTIONAL_FIELDS)):
         raise FormatError(f"label #{pos} is not a label object: {x!r}")
     try:
-        return VertexLabel.from_dict(x)
+        return VertexLabel(kind, **{f: x.get(f) for f in _OPTIONAL_FIELDS})
     except ValueError as exc:
         raise FormatError(f"label #{pos}: {exc}") from exc
 
@@ -159,28 +163,6 @@ def parse_edge_list_json(text: str) -> LabeledGraph:
 
 # -- DOT ----------------------------------------------------------------------
 
-# the name and fill colour in DOT of each kind of ``LABEL_KINDS`` (a plain
-# vertex shows its number)
-_DOT_STYLE = {
-    "plain": ("", "white"),
-    "true": ("T", "palegreen"),
-    "false": ("F", "lightcoral"),
-    "cycle_u": ("u", "lightgray"),
-    "clause": ("c", "lightskyblue"),
-    "variable": ("x", "orange"),
-    "l": ("l", "plum"),
-    "port": ("v", "cyan"),
-    "gadget_u": ("u", "wheat"),
-    "gadget_w": ("w", "khaki"),
-    "gadget_a": ("a", "mistyrose"),
-    "gadget_b": ("b", "thistle"),
-    "gadget_c": ("c", "lightcyan"),
-    "pos_literal": ("x", "palegreen"),
-    "neg_literal": ("~x", "lightcoral"),
-    "triangle_u": ("u", "lightgray"),
-}
-
-
 def _label_text(v: int, lbl: VertexLabel) -> str:
     if lbl.kind == "plain":
         return str(v)
@@ -193,13 +175,13 @@ def _label_text(v: int, lbl: VertexLabel) -> str:
         parts.append(f"s{lbl.source}")
     if lbl.index is not None:
         parts.append(str(lbl.index))
-    return f"{_DOT_STYLE[lbl.kind][0]}[{','.join(parts)}] #{v}"
+    return f"{LABEL_KINDS[lbl.kind][1]}[{','.join(parts)}] #{v}"
 
 
 def emit_dot(g: LabeledGraph) -> str:
     lines = ["graph G {", "  node [style=filled];"]
     for v, lbl in enumerate(g.labels):
-        lines.append(f'  {v} [label="{_label_text(v, lbl)}", fillcolor="{_DOT_STYLE[lbl.kind][1]}"];')
+        lines.append(f'  {v} [label="{_label_text(v, lbl)}", fillcolor="{LABEL_KINDS[lbl.kind][2]}"];')
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

@@ -29,22 +29,27 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 
-# every vertex-label kind, mapped to whether it needs an index in 1..3, one
-# line per gadget: the variable-gadget roles carry ``var``, the clause-gadget
-# roles ``clause`` and optionally ``var``, the replacement-gadget roles their
-# ``source`` vertex, and the triangle-gadget roles ``var``
+# every vertex-label kind, mapped to (whether it needs an index in 1..3, its
+# name in DOT, its DOT fill colour). It drives JSON and DOT too: a label, and
+# so the edge-list JSON codec, accepts exactly these kinds, and DOT draws each
+# from its row (a plain vertex shows its number). One line per gadget: the variable-gadget roles carry ``var``, the
+# clause-gadget roles ``clause`` and optionally ``var``, the replacement-gadget
+# roles their ``source`` vertex, and the triangle-gadget roles ``var``
 LABEL_KINDS = {
-    "plain": False,
-    "true": True, "false": True, "cycle_u": True,
-    "clause": False, "variable": False, "l": False,
-    "port": True, "gadget_u": True, "gadget_w": True, "gadget_a": True, "gadget_b": True, "gadget_c": True,
-    "pos_literal": False, "neg_literal": False, "triangle_u": False,
+    "plain": (False, "", "white"),
+    "true": (True, "T", "palegreen"), "false": (True, "F", "lightcoral"), "cycle_u": (True, "u", "lightgray"),
+    "clause": (False, "c", "lightskyblue"), "variable": (False, "x", "orange"), "l": (False, "l", "plum"),
+    "port": (True, "v", "cyan"), "gadget_u": (True, "u", "wheat"), "gadget_w": (True, "w", "khaki"),
+    "gadget_a": (True, "a", "mistyrose"), "gadget_b": (True, "b", "thistle"), "gadget_c": (True, "c", "lightcyan"),
+    "pos_literal": (False, "x", "palegreen"), "neg_literal": (False, "~x", "lightcoral"),
+    "triangle_u": (False, "u", "lightgray"),
 }
 
 
 @dataclass(frozen=True)
 class VertexLabel:
-    """Role tag for a vertex: its kind is a key of ``LABEL_KINDS``."""
+    """Role tag for a vertex: its kind is a key of ``LABEL_KINDS``, and the
+    fields after it are the optional ones, None when absent."""
 
     kind: str = "plain"
     var: Optional[int] = None
@@ -55,26 +60,8 @@ class VertexLabel:
     def __post_init__(self):
         if self.kind not in LABEL_KINDS:
             raise ValueError(f"unknown label kind {self.kind!r}")
-        if LABEL_KINDS[self.kind] and self.index not in (1, 2, 3):
+        if LABEL_KINDS[self.kind][0] and self.index not in (1, 2, 3):
             raise ValueError(f"label kind {self.kind!r} needs index in 1..3, got {self.index}")
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for field in ("var", "clause", "index", "source"):
-            value = getattr(self, field)
-            if value is not None:
-                d[field] = value
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "VertexLabel":
-        return VertexLabel(
-            kind=d.get("kind", "plain"),
-            var=d.get("var"),
-            clause=d.get("clause"),
-            index=d.get("index"),
-            source=d.get("source"),
-        )
 
 
 PLAIN = VertexLabel()

@@ -208,18 +208,15 @@ def assignment_to_mds_subcubic(rmap: SubcubicReductionMap, a: Assignment) -> fro
     f = rmap.formula
     if len(a) != f.num_vars:
         raise ReductionError(f"assignment has {len(a)} values for {f.num_vars} variables")
-    chosen: set[int] = set()
+    ci = f.violated(a)
+    if ci is not None:
+        raise ReductionError(
+            f"clause {ci} has {sum(a[x - 1] for x in f.clauses[ci])} true variables; "
+            "the l-vertex choice needs exactly one"
+        )
+    chosen = {rmap.l_vertex[i][x] for i, clause in enumerate(f.clauses) for x in clause if a[x - 1]}
     for x in range(1, f.num_vars + 1):
-        triple = rmap.true_ids[x] if a[x - 1] else rmap.false_ids[x]
-        chosen.update(triple.values())
-    for ci, clause in enumerate(f.clauses):
-        true_vars = [x for x in clause if a[x - 1]]
-        if len(true_vars) != 1:
-            raise ReductionError(
-                f"clause {ci} has {len(true_vars)} true variables; "
-                "the l-vertex choice needs exactly one"
-            )
-        chosen.add(rmap.l_vertex[ci][true_vars[0]])
+        chosen.update((rmap.true_ids if a[x - 1] else rmap.false_ids)[x].values())
     return frozenset(chosen)
 
 
@@ -233,11 +230,9 @@ def mds_to_assignment_subcubic(
     assignment = tuple(
         all(v in d for v in rmap.true_ids[x].values()) for x in range(1, f.num_vars + 1)
     )
-    for ci, clause in enumerate(f.clauses):
-        if sum(assignment[x - 1] for x in clause) != 1:
-            raise ReductionError(
-                f"extracted assignment does not one-in-three satisfy clause {ci}"
-            )
+    ci = f.violated(assignment)
+    if ci is not None:
+        raise ReductionError(f"extracted assignment does not one-in-three satisfy clause {ci}")
     return assignment
 
 
@@ -251,11 +246,9 @@ _D3_ORDER = (
     "v2", "u2", "a2", "b2", "c2", "w3",
     "v3", "u3", "a3", "b3", "c3", "w1",
 )
-_D3_OFFSET = {name: i for i, name in enumerate(_D3_ORDER)}
 
 # 7-vertex path gadget replacing a degree-2 vertex.
 _D2_ORDER = ("v1", "u1", "a1", "b1", "c1", "u2", "v2")
-_D2_OFFSET = {name: i for i, name in enumerate(_D2_ORDER)}
 
 _ROLE_KIND = {"v": "port", "u": "gadget_u", "w": "gadget_w", "a": "gadget_a", "b": "gadget_b", "c": "gadget_c"}
 
@@ -487,11 +480,7 @@ def mds_to_assignment_p7(
     f = rmap.formula
     _check_floor_set(g, d, f.num_vars)
     assignment = tuple(rmap.pos_id[x] in d for x in range(1, f.num_vars + 1))
-
-    def lit_true(lit: int) -> bool:
-        return assignment[lit - 1] if lit > 0 else not assignment[-lit - 1]
-
-    for ci, clause in enumerate(f.clauses):
-        if not any(lit_true(l) for l in clause):
-            raise ReductionError(f"extracted assignment does not satisfy clause {ci}")
+    ci = f.violated(assignment)
+    if ci is not None:
+        raise ReductionError(f"extracted assignment does not satisfy clause {ci}")
     return assignment

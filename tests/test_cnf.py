@@ -18,6 +18,7 @@ from domblocker import (
     validate_1in3,
     validate_3sat,
 )
+from domblocker.verify import all_three_var_formulas
 
 
 def naive_one_in_three(f: Formula1in3):
@@ -85,6 +86,33 @@ class TestBruteSolvers:
 
     def test_3sat_empty_clause_list_vacuous(self):
         assert solve_3sat_brute(Formula3Sat.make(3, [])) is not None
+
+
+class TestViolated:
+    @staticmethod
+    def failing_clauses(f, a):
+        """Every clause that a fails in f's flavor, by counting its true
+        literals: one-in-three wants exactly one, 3-SAT at least one."""
+        failing = []
+        for i, clause in enumerate(f.clauses):
+            true = sum(1 for lit in clause if (a[abs(lit) - 1] if lit > 0 else not a[abs(lit) - 1]))
+            if (true != 1) if isinstance(f, Formula1in3) else (true == 0):
+                failing.append(i)
+        return failing
+
+    def test_first_failing_clause_of_every_assignment(self):
+        formulas = all_three_var_formulas() + [satisfiable_fixture(), unsatisfiable_fixture()]
+        formulas += [gen_1in3(nv, s) for nv in (4, 5, 6) for s in range(20)]
+        several = later = 0
+        for f in formulas:
+            for bits in range(1 << f.num_vars):
+                a = tuple(bool(bits >> i & 1) for i in range(f.num_vars))
+                failing = self.failing_clauses(f, a)
+                assert f.violated(a) == (failing[0] if failing else None), (f, a)
+                several += len(failing) > 1
+                later += bool(failing) and failing[0] > 0
+        # the first of several failing clauses is returned, and not always clause 0
+        assert several > 0 and later > 0
 
 
 class TestGenerators:

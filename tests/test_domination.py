@@ -528,8 +528,17 @@ class TestOneContraction:
         assert ct_definitional(c6)[0] != 1
 
     def test_gamma_one_is_always_no(self):
-        for g in (complete_graph(4), star_graph(3)):
-            assert not one_contraction_decision(g).holds
+        # a vertex adjacent to all others makes γ = 1, and the counting
+        # certificate answers at γ's nodes: |N[v]| = n. Connected graphs with
+        # such a vertex are the graphs on n - 1 vertices plus it: 209 up to 7
+        dominated = [g for g in connected_graphs_upto(7) if (1 << g.n) - 1 in g.closed_masks]
+        assert len(dominated) == 1 + 1 + 2 + 4 + 11 + 34 + 156 and dominated[0].n == 1
+        for g in dominated:
+            expected = GammaTable()
+            assert expected.solve(g).gamma == 1
+            table = GammaTable()
+            assert not one_contraction_decision(g, table).holds
+            assert table.nodes == expected.nodes, g.closed_masks
 
     def test_solves_gamma_once(self, gamma_calls, p4):
         assert one_contraction_decision(p4).holds

@@ -201,8 +201,8 @@ class TestDot:
         assert "graph G {" in dot and dot.count(" -- ") == 3
 
     def test_every_kind_has_a_style(self):
-        assert set(graphio._DOT_STYLE) == set(LABEL_KINDS)
-        labels = [VertexLabel(kind, index=1 if indexed else None) for kind, indexed in LABEL_KINDS.items()]
+        labels = [VertexLabel(kind, index=1 if indexed else None) for kind, (indexed, _, _) in LABEL_KINDS.items()]
         dot = emit_dot(LabeledGraph.from_edges(len(labels), [], labels))
-        for kind, (_, colour) in graphio._DOT_STYLE.items():
-            assert f'fillcolor="{colour}"' in dot, kind
+        for v, (kind, (indexed, name, colour)) in enumerate(LABEL_KINDS.items()):
+            text = str(v) if kind == "plain" else f"{name}[{'1' if indexed else ''}] #{v}"
+            assert f'  {v} [label="{text}", fillcolor="{colour}"];' in dot, kind

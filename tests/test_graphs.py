@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 
 import pytest
@@ -10,8 +12,10 @@ from domblocker import (
     VertexLabel,
     complete_graph,
     cycle_graph,
+    emit_edge_list_json,
+    parse_edge_list_json,
 )
-from domblocker.graphs import induced_subgraph
+from domblocker.graphs import LABEL_KINDS, induced_subgraph
 from domblocker.smallgraphs import connected_graphs_upto
 
 from bruteforce import (
@@ -153,8 +157,22 @@ class TestLabels:
             VertexLabel("bogus")
 
     def test_round_trip(self):
-        lbl = VertexLabel("port", source=5, index=2)
-        assert VertexLabel.from_dict(lbl.to_dict()) == lbl
+        # every kind with every subset of the optional fields that it allows
+        # survives the edge-list JSON codec, which writes exactly the set ones
+        values = {"var": 4, "clause": 5, "index": 2, "source": 6}
+        labels = [
+            VertexLabel(kind, **{f: values[f] for f in chosen})
+            for kind, (indexed, _, _) in LABEL_KINDS.items()
+            for k in range(len(values) + 1)
+            for chosen in itertools.combinations(values, k)
+            if "index" in chosen or not indexed
+        ]
+        assert len(labels) == 7 * 16 + 9 * 8  # 9 kinds need an index
+        g = LabeledGraph.from_edges(len(labels), [], labels)
+        text = emit_edge_list_json(g)
+        for lbl, written in zip(labels, json.loads(text)["labels"]):
+            assert written == {"kind": lbl.kind} | {f: v for f, v in values.items() if getattr(lbl, f) is not None}
+        assert parse_edge_list_json(text).labels == g.labels
 
     def test_labels_length_checked(self):
         with pytest.raises(GraphError):
