@@ -37,6 +37,40 @@ The check refuses most sets of the γ + 1 clause, whose residuals differ from
 the whole graph by a few vertices, and a graph whose root bound already
 proves the greedy cover optimal takes no γ node.
 
+The optimizer recognises the perfect-code regime by counting. A closed
+neighbourhood holds at most ``width`` vertices, so a part whose cap c (the
+most vertices its set may take) has c · width = |und| is dominated within
+its cap only by c vertices whose closed neighbourhoods have ``width``
+vertices, lie inside und and are pairwise disjoint: an exact cover of und, a
+perfect code on it. No flag is needed to see it: the fractional bound is at
+least |und| / width = c, with equality only when every undominated vertex
+lies in such a neighbourhood of an available vertex, so a part whose bound
+passes its cap at that count is in the regime. A satisfiable subcubic build
+at its floor 3|X| + |C| = n / 4 is one. The part's subtree, down its chain
+of lone parts, carries the part's und as its ``region`` and a ``banned``
+mask, the two-hop masks of the vertices taken in it, whose closed
+neighbourhoods meet a taken one's. Its nodes skip a branch vertex that is
+banned, whose closed neighbourhood leaves the region or has fewer than
+``width`` vertices, return None when ``reduce`` forces a banned vertex, and
+stop at their first completion. Each rule removes only calls that return
+None anyway: a set that a node of the chain returns, with the vertices taken
+above it, dominates the region with at most c vertices, so it is an exact
+cover of the region, holds no skipped vertex, and has exactly its node's
+cap, so no later child can beat it. A split ends the chain, and each of its
+parts counts for itself, since its cap leans on the other parts' bounds.
+Apart from the regime, a node stops branching once its best set meets its
+bound or a ``floor`` handed down, one less per level: a later child could
+only return a smaller set, and none exists. ``forced`` combines the two.
+When its unreduced residual is perfect at a bound b below its need, it asks
+for b vertices first, an exact-cover search, and only when that fails runs
+the main search with floor b + 1, so the floor is refuted once. The answer
+cannot move: from any cap at or above the optimum, the search returns the
+same set, the one below the first child in order that reaches the optimum,
+chosen the same way below it; so the probe at b returns what the search from
+the greedy cover returns, and every call the rules remove returned None.
+γ, every witness, the MDS order and ct are those of the search without the
+regime and the floor; only node counts fall.
+
 Vertex sets are int bitmasks, walked in ascending vertex order, and a graph
 is its closed-neighbourhood masks (``LabeledGraph.closed_masks``): the
 searches and the set predicates (``is_dominating``, ``is_independent``,
@@ -476,19 +510,30 @@ class _Optimizer(_Search):
         most ``limit`` vertices? The smallest such set as a mask, or None.
 
         The unreduced residual's bound is checked first, so a set it refuses
-        costs no node and no ``reduce``."""
+        costs no node and no ``reduce``. A residual perfect at a bound below
+        its need is first asked for an exact cover of that many vertices;
+        when there is none, the main search gets the floor one above it."""
         need = limit - mask.bit_count()
         if need < 0:
             return None
         und = self.full & ~_union(self.nb, mask)
         avail = self.full & ~mask
-        if und and self.lower_bound(und, avail, need)[0] > need:
-            return None
-        rest = self.min_dominating(und, avail, need)
+        rest, floor = None, 0
+        if und:
+            bound = self.lower_bound(und, avail, need)[0]
+            if bound > need:
+                return None
+            if bound * self.width == und.bit_count():
+                # perfect at its bound: an exact cover of bound vertices first
+                rest = self.min_dominating(und, avail, bound, region=und)
+                floor = bound + 1
+        if rest is None and floor <= need:
+            rest = self.min_dominating(und, avail, need, floor=floor)
         return None if rest is None else rest | mask
 
     def min_dominating(
-        self, und: int, avail: int, limit: int, since: Optional[tuple[int, int]] = None
+        self, und: int, avail: int, limit: int, since: Optional[tuple[int, int]] = None,
+        floor: int = 0, region: Optional[int] = None, banned: int = 0,
     ) -> Optional[int]:
         """The smallest set of at most ``limit`` vertices of avail that
         dominates und, as a mask, or None.
@@ -499,7 +544,10 @@ class _Optimizer(_Search):
         counted, checked against its bound and cap, then branched on its
         branch set. Each child is the fixpoint with bits cleared, capped one
         below the best set found so far, so any set it returns is the new
-        best.
+        best. No set below ``floor`` exists, so a node stops branching once
+        its best set meets its bound or the floor; a child's floor is one
+        below that. ``region`` and ``banned`` carry the perfect-code regime
+        (the module docstring) down a chain of lone parts.
         """
         if not und:
             return 0
@@ -509,21 +557,27 @@ class _Optimizer(_Search):
         if red is None:
             return None
         forced, und, avail = red
+        if region is not None:
+            if forced & banned:
+                return None
+            banned |= _union(self.two, forced)
         k = forced.bit_count()
         if k > limit:
             return None
         if not und:
             return forced
+        nb, width = self.nb, self.width
         fixpoint = (und, avail)
         comps = self.split_components(und)
+        lone = len(comps) == 1
         # a lone component's bound is only compared with limit - k; the
         # parts of a split need exact bounds for remaining and the caps
-        need = limit - k if len(comps) == 1 else None
+        need = limit - k if lone else None
         bounds = [self.lower_bound(c, avail, need) for c in comps]
         remaining = sum(bound for bound, _ in bounds)
         # a lone component's bound is checked in the part loop, after its
         # node is counted: the pinned node counts include such nodes
-        if len(comps) > 1 and remaining > limit - k:
+        if not lone and remaining > limit - k:
             return None
         # no vertex covers two parts, so the parts' sets and forced are disjoint
         for comp, (bound, branch_live) in zip(comps, bounds):
@@ -532,14 +586,28 @@ class _Optimizer(_Search):
             self.tick()
             if cap <= 0 or bound > cap:
                 return None
+            if cap * width == comp.bit_count():
+                region, banned = comp, 0
+            elif not lone:
+                region = None
+            # in the regime every set within the cap has exactly cap vertices
+            enough = cap if region is not None else max(bound, floor - k if lone else 0)
             best: Optional[int] = None
             sub_avail = avail
             for v in _bits(branch_live):
                 sub_avail &= ~(1 << v)
+                if region is not None and (
+                    banned >> v & 1 or nb[v] & ~region or nb[v].bit_count() != width
+                ):
+                    continue  # no exact cover of the region holds v
                 sub_cap = (cap if best is None else best.bit_count() - 1) - 1
-                sub = self.min_dominating(comp & ~self.nb[v], sub_avail, sub_cap, fixpoint)
+                sub = self.min_dominating(
+                    comp & ~nb[v], sub_avail, sub_cap, fixpoint, enough - 1, region, banned | self.two[v]
+                )
                 if sub is not None:
                     best = sub | (1 << v)
+                    if best.bit_count() <= enough:
+                        break
             if best is None:
                 return None
             forced |= best

@@ -4,16 +4,30 @@ graph6 follows the standard format (short form for n <= 62, the 4-byte long
 form up to n < 258048, and the 8-byte form beyond): upper-triangle adjacency
 bits in column-major order, packed 6 bits per printable byte (offset 63).
 Labels do not survive graph6; the edge-list JSON form carries them losslessly.
+
+A graph6 payload is base64 in another alphabet (byte 63 + v is digit v), so
+both directions work on whole strings: ``str.translate`` and ``base64`` turn
+the payload into one integer, and one reversed ``bin()`` string of it holds
+each vertex's column of the triangle as a slice, highest vertex first, which
+``int(..., 2)`` reads as the column's mask. Only a payload that fails the
+range check is walked byte by byte, to name the bad byte.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import string
 from dataclasses import fields
 
-from .graphs import LABEL_KINDS, GraphError, LabeledGraph, VertexLabel, PLAIN
+from .graphs import LABEL_KINDS, GraphError, LabeledGraph, VertexLabel, PLAIN, _bits
 
 GRAPH6_HEADER = ">>graph6<<"
+
+_GRAPH6_DIGITS = "".join(map(chr, range(63, 127)))
+_BASE64_DIGITS = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+_TO_BASE64 = str.maketrans(_GRAPH6_DIGITS, _BASE64_DIGITS)
+_FROM_BASE64 = str.maketrans(_BASE64_DIGITS, _GRAPH6_DIGITS)
 
 
 class FormatError(ValueError):
@@ -65,20 +79,17 @@ def _decode_n(data: str) -> tuple[int, int]:
 
 def emit_graph6(g: LabeledGraph) -> str:
     """Encode the adjacency structure (labels are dropped)."""
-    out = [_encode_n(g.n)]
+    n = g.n
     masks = g.closed_masks
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(masks[j] >> i & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    for i in range(0, len(bits), 6):
-        word = 0
-        for b in bits[i : i + 6]:
-            word = (word << 1) | b
-        out.append(chr(word + 63))
-    return "".join(out)
+    # bit k of ``column`` is bit k of the payload: column j starts at j(j-1)/2
+    column = 0
+    for j in range(1, n):
+        column |= (masks[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    size = (n * (n - 1) // 2 + 5) // 6
+    digits = -(-size // 4) * 4  # whole base64 quanta, cut back to size below
+    bits = bin(column)[:1:-1].ljust(6 * digits, "0")
+    payload = base64.b64encode(int(bits, 2).to_bytes(3 * digits // 4, "big"))
+    return _encode_n(n) + payload.decode("ascii").translate(_FROM_BASE64)[:size]
 
 
 def parse_graph6(text: str) -> LabeledGraph:
@@ -98,15 +109,21 @@ def parse_graph6(text: str) -> LabeledGraph:
         )
     if len(payload) > need_bytes:
         raise FormatError(f"trailing data after graph6 payload at byte {consumed + need_bytes}")
-    bits = [b >> s & 1 for b in _values(payload, consumed) for s in (5, 4, 3, 2, 1, 0)]
-    edges = []
-    k = 0
+    if payload and not "?" <= min(payload) <= max(payload) <= "~":
+        _values(payload, consumed)  # raises, naming the first bad byte
+    digits = payload.translate(_TO_BASE64) + "A" * (-len(payload) % 4)
+    # bits[t - 1 - k] is bit k of the payload, so column j, bits j(j-1)/2 on,
+    # is a slice that reads vertex j - 1 first
+    t = 6 * len(digits)
+    bits = bin(int.from_bytes(base64.b64decode(digits), "big"))[:1:-1].ljust(t, "0")
+    masks = [1 << v for v in range(n)]
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return LabeledGraph.from_edges(n, edges)
+        end = t - j * (j - 1) // 2
+        lower = int(bits[end - j : end], 2)
+        masks[j] |= lower
+        for i in _bits(lower):
+            masks[i] |= 1 << j
+    return LabeledGraph.from_closed_masks(tuple(masks))
 
 
 # -- edge-list JSON ----------------------------------------------------------

@@ -321,3 +321,19 @@ def plain_extension_masks(n: int) -> tuple[int, ...]:
                     adj[n - 1] |= 1 << v
             certificates.add(_certificate(n, adj))
     return tuple(sorted(certificates))
+
+
+def reference_perfect(g: LabeledGraph, und, avail, cap) -> bool:
+    """The γ search's perfect-code regime from the definitions: cap times
+    the largest closed neighbourhood size equals |und|, and every
+    undominated vertex lies in the closed neighbourhood of an available
+    vertex whose whole closed neighbourhood is undominated and has that
+    largest size."""
+    width = max(len(closed_neighborhood(g, v)) for v in range(g.n))
+    und = set(und)
+    whole = [
+        closed_neighborhood(g, x)
+        for x in avail
+        if closed_neighborhood(g, x) <= und and len(closed_neighborhood(g, x)) == width
+    ]
+    return cap * width == len(und) and all(any(v in m for m in whole) for v in und)

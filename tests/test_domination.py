@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -45,9 +46,11 @@ from bruteforce import (
     brute_efficient,
     brute_gamma,
     brute_residual,
+    closed_neighborhood,
     contract_tracked,
     dominates,
     reference_lower_bound,
+    reference_perfect,
     reference_reduce,
     set_contraction,
     set_edge_list,
@@ -501,6 +504,39 @@ class TestForced:
         assert checks == 16_086
         assert root_refusals > 0
 
+    def test_the_probe_and_the_floor_keep_the_witness(self):
+        """Where the probe fires (the unreduced residual is perfect at a
+        bound below its need), ``forced`` returns what one search of the
+        whole residual from the same cap returns: γ's witness on the
+        subcubic builds nv 3-9 (seeds 1-3), and on every connected graph
+        with n <= 7 the completion of every vertex, edge and non-edge at
+        its optimum and one above. Probes that find their exact cover and
+        probes that fail, so that the floor is handed on, both occur."""
+        cases = []
+        for nv, seed in itertools.product(range(3, 10), (1, 2, 3)):
+            g = build_subcubic(gen_1in3(nv, seed))[0]
+            search = domination._Optimizer(g, None)
+            cases.append((search, 0, search.greedy_cover().bit_count() - 1))
+        for g in connected_graphs_upto(7):
+            search = domination._Optimizer(g, None)
+            for size in (1, 2):
+                for s in itertools.combinations(range(g.n), size):
+                    mask = sum(1 << v for v in s)
+                    opt = search.forced(mask, g.n).bit_count()
+                    cases += [(search, mask, opt), (search, mask, opt + 1)]
+        fired = collections.Counter()
+        for search, mask, limit in cases:
+            und = search.full & ~domination._union(search.nb, mask)
+            avail, need = search.full & ~mask, limit - mask.bit_count()
+            bound = search.lower_bound(und, avail, need)[0] if und else 0
+            if not (bound < need and bound * search.width == und.bit_count() > 0):
+                continue
+            rest = search.min_dominating(und, avail, need)
+            got = search.forced(mask, limit)
+            assert got == (None if rest is None else rest | mask), (search.nb, mask, limit)
+            fired["γ" if mask == 0 else "set", rest is not None and rest.bit_count() == bound] += 1
+        assert fired == {("set", True): 153, ("γ", True): 4, ("γ", False): 6}
+
     def test_refusal_before_reduce_costs_no_node(self, monkeypatch):
         """On the satisfiable fixture build every set that two edges span is
         refused at γ + 1 by its unreduced bound: no node, no ``reduce``."""
@@ -776,14 +812,14 @@ class TestGammaTable:
         # together do not, and they run out in the ct clause
         g, _ = build_subcubic(gen_1in3(6, 1))
         assert blocker_report(g, GammaTable()).ct == 3
-        assert max(search_nodes) <= 500 < sum(search_nodes)
-        table = GammaTable(budget=500)
+        assert max(search_nodes) <= 300 < sum(search_nodes)
+        table = GammaTable(budget=300)
         assert blocker_report(g, table).ct == "unknown"
-        assert table.nodes == 501
-        table = GammaTable(budget=500)
+        assert table.nodes == 301
+        table = GammaTable(budget=300)
         with pytest.raises(BudgetExceeded) as exc:
             ct_gamma(g, table)
-        assert table.nodes == exc.value.nodes == 501
+        assert table.nodes == exc.value.nodes == 301
 
     def test_hit_costs_no_nodes_and_builds_no_graph(self, monkeypatch, gamma_calls, c6):
         built = []
@@ -831,6 +867,7 @@ class TestSearchTrees:
         "c9": lambda: cycle_graph(9),
         "p7free_nv4": lambda: build_p7free(gen_3sat(4, 6, 1))[0],
         "degree23_n19": lambda: random_degree23_graph(19, random.Random(1)),
+        "subcubic_nv9_seed1": lambda: build_subcubic(gen_1in3(9, 1))[0],
     }
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -1051,3 +1088,78 @@ class TestIncrementalReduce:
                 )
                 children += 1
         assert children >= 500
+
+
+class TestPerfectRegime:
+    """A part whose cap c has c · width = |und| can only be completed by an
+    exact cover of und, a perfect code on it, so the γ search may skip
+    every vertex that no such cover holds."""
+
+    def test_count_and_bound_recognise_the_regime(self):
+        # every (und, avail, need) state of every connected graph with n <= 5
+        # that the bound lets through: the count alone then says what the
+        # definitional flag says, so no separate flag is needed
+        states = perfect = 0
+        for g in connected_graphs_upto(5):
+            search = domination._Optimizer(g, None)
+            for und, avail in itertools.product(range(1, search.full + 1), range(search.full + 1)):
+                for need in range(g.n + 1):
+                    if search.lower_bound(und, avail, need)[0] > need:
+                        continue
+                    want = reference_perfect(g, _bits(und), _bits(avail), need)
+                    assert (need * search.width == und.bit_count()) == want, (g.closed_masks, und, avail, need)
+                    states += 1
+                    perfect += want
+        assert (states, perfect) == (84580, 693)
+
+    def test_every_completion_is_a_perfect_code(self):
+        # every state of every connected graph with n <= 6 whose cap times
+        # width is |und|: each dominating subset of avail with at most cap
+        # vertices has cap members, whose closed neighbourhoods have the
+        # largest size, lie in und and are pairwise disjoint, so the regime
+        # skips none of them; the search with the regime's region returns
+        # what the search without it returns, None exactly when no such
+        # subset exists. The bound lets through every state that has one,
+        # and as many states as have one, so exactly those
+        states = covered = passed = 0
+        for g in connected_graphs_upto(6):
+            search = domination._Optimizer(g, None)
+            width = search.width
+            for und in range(1, search.full + 1):
+                if und.bit_count() % width:
+                    continue
+                cap = und.bit_count() // width
+                und_set = set(_bits(und))
+                for avail in range(search.full + 1):
+                    covers = [
+                        s
+                        for size in range(cap + 1)
+                        for s in itertools.combinations(_bits(avail), size)
+                        if und_set <= set().union(*(closed_neighborhood(g, x) for x in s))
+                    ]
+                    for s in covers:
+                        hoods = [closed_neighborhood(g, x) for x in s]
+                        assert len(s) == cap, (g.closed_masks, und, avail, s)
+                        assert all(len(h) == width and h <= und_set for h in hoods), (g.closed_masks, und, s)
+                        assert sum(map(len, hoods)) == len(set().union(*hoods)), (g.closed_masks, und, s)
+                    got = search.min_dominating(und, avail, cap, region=und)
+                    assert got == search.min_dominating(und, avail, cap), (g.closed_masks, und, avail)
+                    assert (got is None) == (not covers), (g.closed_masks, und, avail)
+                    states += 1
+                    covered += bool(covers)
+                    passed += search.lower_bound(und, avail, cap)[0] <= cap
+        assert (states, covered, passed) == (52086, 7541, 7541)
+
+    # γ nodes of satisfiable subcubic builds, where γ = n / 4 and the root
+    # bound is γ: the probe at the bound is an exact-cover search. Without
+    # the regime and the floor the search took 32, 26, 80, 153, 148 and 920
+    SATISFIABLE_GAMMA_NODES = {(6, 1): 7, (6, 3): 6, (9, 1): 8, (9, 3): 19, (12, 2): 10, (15, 3): 26}
+
+    def test_the_probe_at_the_floor_takes_few_nodes(self):
+        # the pins are by design; each rule of the regime moves some of them
+        for (nv, seed), want in self.SATISFIABLE_GAMMA_NODES.items():
+            g, rmap = build_subcubic(gen_1in3(nv, seed))
+            table = GammaTable()
+            result = domination_number(g, table)
+            assert result.gamma == rmap.expected_gamma() == g.n // 4
+            assert table.nodes == want, (nv, seed)
