@@ -47,29 +47,40 @@ least |und| / width = c, with equality only when every undominated vertex
 lies in such a neighbourhood of an available vertex, so a part whose bound
 passes its cap at that count is in the regime. A satisfiable subcubic build
 at its floor 3|X| + |C| = n / 4 is one. The part's subtree, down its chain
-of lone parts, carries the part's und as its ``region`` and a ``banned``
-mask, the two-hop masks of the vertices taken in it, whose closed
-neighbourhoods meet a taken one's. Its nodes skip a branch vertex that is
-banned, whose closed neighbourhood leaves the region or has fewer than
-``width`` vertices, return None when ``reduce`` forces a banned vertex, and
-stop at their first completion. Each rule removes only calls that return
-None anyway: a set that a node of the chain returns, with the vertices taken
-above it, dominates the region with at most c vertices, so it is an exact
-cover of the region, holds no skipped vertex, and has exactly its node's
-cap, so no later child can beat it. A split ends the chain, and each of its
-parts counts for itself, since its cap leans on the other parts' bounds.
-Apart from the regime, a node stops branching once its best set meets its
-bound or a ``floor`` handed down, one less per level: a later child could
-only return a smaller set, and none exists. ``forced`` combines the two.
-When its unreduced residual is perfect at a bound b below its need, it asks
-for b vertices first, an exact-cover search, and only when that fails runs
-the main search with floor b + 1, so the floor is refuted once. The answer
-cannot move: from any cap at or above the optimum, the search returns the
-same set, the one below the first child in order that reaches the optimum,
-chosen the same way below it; so the probe at b returns what the search from
-the greedy cover returns, and every call the rules remove returned None.
-γ, every witness, the MDS order and ct are those of the search without the
-regime and the floor; only node counts fall.
+of lone parts, carries a ``region`` mask (0 outside the regime): the
+vertices of the part's und that the exact cover must still cover. One take
+rule serves the vertices a node branches on and the vertices ``reduce``
+forces alike: taking x needs |N[x] ∩ region| = ``width``, so N[x] has the
+largest size and lies in the region, and shrinks the region by N[x], so no
+later take meets it. A branch vertex that fails the rule is skipped. A
+forced vertex that fails it ends the node in None before its tick; the
+forced vertices are checked in ascending order, each against the region
+the ones before it left. The rule removes only calls that return None
+anyway: a set that a node of the chain returns, with the vertices taken
+above it, dominates the part's und with at most c vertices, so it is an
+exact cover of it and passes the rule at every take. A vertex that element
+dominance drops leaves und but stays in the region, which the cover still
+covers. A split ends the chain, and each of its parts counts for itself,
+since its cap leans on the other parts' bounds.
+A node stops branching once its best set meets its bound or a ``floor``
+handed down, one less per level: a later child could only return a smaller
+set, and none exists. The floor also says "exactly cap" in the regime, so
+the regime needs no stopping rule of its own. ``forced`` enters it with the
+floor at its cap, every set of the chain within its cap has exactly that
+many vertices, so each child's floor, less the vertices its ``reduce``
+forces, is its own cap, and a part that finds the regime below the root has
+its bound at its cap. Either way a node of the chain stops at its first
+completion. ``forced`` combines the regime and the floor. When its
+unreduced residual is perfect at a bound b within its need, it asks for b
+vertices first, with the floor at b, an exact-cover search, and only when
+that fails runs the main search with floor b + 1, so the floor is refuted
+once. The answer cannot move: from any cap at or above the optimum, the
+search returns the same set, the one below the first child in order that
+reaches the optimum, chosen the same way below it; so the probe at b
+returns what the search from the greedy cover returns, and every call the
+rules remove returned None. γ, every witness, the MDS order and ct are
+those of the search without the regime and the floor; only node counts
+fall.
 
 Vertex sets are int bitmasks, walked in ascending vertex order, and a graph
 is its closed-neighbourhood masks (``LabeledGraph.closed_masks``): the
@@ -510,9 +521,11 @@ class _Optimizer(_Search):
         most ``limit`` vertices? The smallest such set as a mask, or None.
 
         The unreduced residual's bound is checked first, so a set it refuses
-        costs no node and no ``reduce``. A residual perfect at a bound below
-        its need is first asked for an exact cover of that many vertices;
-        when there is none, the main search gets the floor one above it."""
+        costs no node and no ``reduce``. A residual perfect at a bound
+        within its need is first asked for an exact cover of that many
+        vertices, with that bound as its floor and the residual as its
+        region; when there is none, the main search gets the floor one above
+        it."""
         need = limit - mask.bit_count()
         if need < 0:
             return None
@@ -525,7 +538,7 @@ class _Optimizer(_Search):
                 return None
             if bound * self.width == und.bit_count():
                 # perfect at its bound: an exact cover of bound vertices first
-                rest = self.min_dominating(und, avail, bound, region=und)
+                rest = self.min_dominating(und, avail, bound, floor=bound, region=und)
                 floor = bound + 1
         if rest is None and floor <= need:
             rest = self.min_dominating(und, avail, need, floor=floor)
@@ -533,7 +546,7 @@ class _Optimizer(_Search):
 
     def min_dominating(
         self, und: int, avail: int, limit: int, since: Optional[tuple[int, int]] = None,
-        floor: int = 0, region: Optional[int] = None, banned: int = 0,
+        floor: int = 0, region: int = 0,
     ) -> Optional[int]:
         """The smallest set of at most ``limit`` vertices of avail that
         dominates und, as a mask, or None.
@@ -546,8 +559,11 @@ class _Optimizer(_Search):
         below the best set found so far, so any set it returns is the new
         best. No set below ``floor`` exists, so a node stops branching once
         its best set meets its bound or the floor; a child's floor is one
-        below that. ``region`` and ``banned`` carry the perfect-code regime
-        (the module docstring) down a chain of lone parts.
+        below that. ``region`` carries the perfect-code regime (the module
+        docstring) down a chain of lone parts: the vertices an exact cover
+        must still cover, 0 outside the regime. A take, forced or branched,
+        needs its closed neighbourhood to have ``width`` vertices in the
+        region and shrinks the region by it.
         """
         if not und:
             return 0
@@ -557,16 +573,17 @@ class _Optimizer(_Search):
         if red is None:
             return None
         forced, und, avail = red
-        if region is not None:
-            if forced & banned:
-                return None
-            banned |= _union(self.two, forced)
+        nb, width = self.nb, self.width
+        if region:
+            for x in _bits(forced):
+                if (nb[x] & region).bit_count() != width:
+                    return None
+                region &= ~nb[x]
         k = forced.bit_count()
         if k > limit:
             return None
         if not und:
             return forced
-        nb, width = self.nb, self.width
         fixpoint = (und, avail)
         comps = self.split_components(und)
         lone = len(comps) == 1
@@ -584,25 +601,22 @@ class _Optimizer(_Search):
             remaining -= bound
             cap = limit - forced.bit_count() - remaining
             self.tick()
-            if cap <= 0 or bound > cap:
+            if bound > cap:
                 return None
             if cap * width == comp.bit_count():
-                region, banned = comp, 0
+                region = comp
             elif not lone:
-                region = None
-            # in the regime every set within the cap has exactly cap vertices
-            enough = cap if region is not None else max(bound, floor - k if lone else 0)
+                region = 0
+            enough = max(bound, floor - k if lone else 0)
             best: Optional[int] = None
             sub_avail = avail
             for v in _bits(branch_live):
                 sub_avail &= ~(1 << v)
-                if region is not None and (
-                    banned >> v & 1 or nb[v] & ~region or nb[v].bit_count() != width
-                ):
+                if region and (nb[v] & region).bit_count() != width:
                     continue  # no exact cover of the region holds v
                 sub_cap = (cap if best is None else best.bit_count() - 1) - 1
                 sub = self.min_dominating(
-                    comp & ~nb[v], sub_avail, sub_cap, fixpoint, enough - 1, region, banned | self.two[v]
+                    comp & ~nb[v], sub_avail, sub_cap, fixpoint, enough - 1, region & ~nb[v]
                 )
                 if sub is not None:
                     best = sub | (1 << v)

@@ -129,8 +129,9 @@ def parse_graph6(text: str) -> LabeledGraph:
 # -- edge-list JSON ----------------------------------------------------------
 
 
-# a label is an object holding its kind and each optional field that is set
-_OPTIONAL_FIELDS = tuple(f.name for f in fields(VertexLabel) if f.name != "kind")
+# a label is an object holding its kind and each optional field that is set;
+# each optional field's name maps to its DOT prefix, in declaration order
+_OPTIONAL_FIELDS = {f.name: f.metadata["dot"] for f in fields(VertexLabel) if f.name != "kind"}
 
 
 def emit_edge_list_json(g: LabeledGraph) -> str:
@@ -183,15 +184,8 @@ def parse_edge_list_json(text: str) -> LabeledGraph:
 def _label_text(v: int, lbl: VertexLabel) -> str:
     if lbl.kind == "plain":
         return str(v)
-    parts = []
-    if lbl.var is not None:
-        parts.append(f"x{lbl.var}")
-    if lbl.clause is not None:
-        parts.append(f"c{lbl.clause}")
-    if lbl.source is not None:
-        parts.append(f"s{lbl.source}")
-    if lbl.index is not None:
-        parts.append(str(lbl.index))
+    values = ((prefix, getattr(lbl, f)) for f, prefix in _OPTIONAL_FIELDS.items())
+    parts = [f"{prefix}{x}" for prefix, x in values if x is not None]
     return f"{LABEL_KINDS[lbl.kind][1]}[{','.join(parts)}] #{v}"
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -49,13 +49,14 @@ LABEL_KINDS = {
 @dataclass(frozen=True)
 class VertexLabel:
     """Role tag for a vertex: its kind is a key of ``LABEL_KINDS``, and the
-    fields after it are the optional ones, None when absent."""
+    fields after it are the optional ones, None when absent. DOT writes the
+    set ones in this order, each after its ``dot`` prefix."""
 
     kind: str = "plain"
-    var: Optional[int] = None
-    clause: Optional[int] = None
-    index: Optional[int] = None
-    source: Optional[int] = None
+    var: Optional[int] = field(default=None, metadata={"dot": "x"})
+    clause: Optional[int] = field(default=None, metadata={"dot": "c"})
+    source: Optional[int] = field(default=None, metadata={"dot": "s"})
+    index: Optional[int] = field(default=None, metadata={"dot": ""})
 
     def __post_init__(self):
         if self.kind not in LABEL_KINDS:

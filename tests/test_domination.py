@@ -1116,14 +1116,18 @@ class TestPerfectRegime:
         # every state of every connected graph with n <= 6 whose cap times
         # width is |und|: each dominating subset of avail with at most cap
         # vertices has cap members, whose closed neighbourhoods have the
-        # largest size, lie in und and are pairwise disjoint, so the regime
-        # skips none of them; the search with the regime's region returns
-        # what the search without it returns, None exactly when no such
-        # subset exists. The bound lets through every state that has one,
-        # and as many states as have one, so exactly those
-        states = covered = passed = 0
+        # largest size, lie in und and are pairwise disjoint, so the take
+        # rule refuses none of them; the search asked as ``forced`` asks it,
+        # with the floor at the cap and und as its region, returns what the
+        # search without them returns, None exactly when no such subset
+        # exists. The bound lets through every state that has one, and as
+        # many states as have one, so exactly those. In some states the rule
+        # refuses a take that ``reduce`` forces, so the search returns None
+        # before its first node
+        states = covered = passed = refused = 0
         for g in connected_graphs_upto(6):
-            search = domination._Optimizer(g, None)
+            table = GammaTable()
+            search = domination._Optimizer(g, table)
             width = search.width
             for und in range(1, search.full + 1):
                 if und.bit_count() % width:
@@ -1142,13 +1146,35 @@ class TestPerfectRegime:
                         assert len(s) == cap, (g.closed_masks, und, avail, s)
                         assert all(len(h) == width and h <= und_set for h in hoods), (g.closed_masks, und, s)
                         assert sum(map(len, hoods)) == len(set().union(*hoods)), (g.closed_masks, und, s)
-                    got = search.min_dominating(und, avail, cap, region=und)
+                    table.nodes = 0
+                    got = search.min_dominating(und, avail, cap, floor=cap, region=und)
+                    ticked = table.nodes
                     assert got == search.min_dominating(und, avail, cap), (g.closed_masks, und, avail)
                     assert (got is None) == (not covers), (g.closed_masks, und, avail)
                     states += 1
                     covered += bool(covers)
                     passed += search.lower_bound(und, avail, cap)[0] <= cap
-        assert (states, covered, passed) == (52086, 7541, 7541)
+                    red = search.reduce(und, avail)
+                    refused += got is None and not ticked and red is not None and red[0].bit_count() <= cap
+        assert (states, covered, passed, refused) == (52086, 7541, 7541, 31)
+
+    def test_a_forced_take_outside_the_region_costs_no_node(self):
+        # a 4-cycle 1-3-2-4, a vertex 0 joined to 1 and 2, and a leaf 5 on 0:
+        # width 4 from N[0]. With und {1, 2, 3, 5} and avail {1, 2, 4, 5}, 5
+        # is its own only live dominator, so ``reduce`` forces it, but N[5] =
+        # {0, 5} leaves the region; no exact cover holds 5, and the search
+        # returns None before its node, where without the region it ticks
+        # one node to find the cap spent
+        g = LabeledGraph.from_edges(6, [(0, 1), (0, 2), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4)])
+        table = GammaTable()
+        search = domination._Optimizer(g, table)
+        und, avail = 0b101110, 0b110110
+        assert search.width == 4 and und.bit_count() == 4
+        assert search.reduce(und, avail)[:2] == (1 << 5, 0b1110)
+        assert search.min_dominating(und, avail, 1, floor=1, region=und) is None
+        assert table.nodes == 0
+        assert search.min_dominating(und, avail, 1) is None
+        assert table.nodes == 1
 
     # γ nodes of satisfiable subcubic builds, where γ = n / 4 and the root
     # bound is γ: the probe at the bound is an exact-cover search. Without

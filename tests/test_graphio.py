@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields, replace
 
 import networkx as nx
 import pytest
@@ -199,6 +200,21 @@ class TestDot:
     def test_plain_graph(self):
         dot = emit_dot(cycle_graph(3))
         assert "graph G {" in dot and dot.count(" -- ") == 3
+
+    def test_every_optional_field_reaches_the_label_text(self):
+        # each field VertexLabel declares after its kind shows in the DOT text:
+        # a label that differs from another in that field alone reads
+        # differently, and a label with all of them set lists them in
+        # declaration order
+        def text(lbl: VertexLabel) -> str:
+            return emit_dot(LabeledGraph.from_edges(1, (), [lbl])).splitlines()[2]
+
+        base = VertexLabel("true", index=1)
+        for f in fields(VertexLabel)[1:]:
+            other = replace(base, **{f.name: 3 if f.name == "index" else 7})
+            assert text(other) != text(base), f.name
+        full = VertexLabel("true", var=4, clause=5, source=6, index=2)
+        assert text(full) == '  0 [label="T[x4,c5,s6,2] #0", fillcolor="palegreen"];'
 
     def test_every_kind_has_a_style(self):
         labels = [VertexLabel(kind, index=1 if indexed else None) for kind, (indexed, _, _) in LABEL_KINDS.items()]
