@@ -302,8 +302,9 @@ def brute_residual(g: LabeledGraph, und, avail):
 def plain_extension_masks(n: int) -> tuple[int, ...]:
     """Canonical edge-slot masks of every connected graph on n vertices, by
     joining a new vertex to every non-empty neighbour set of every class on
-    n - 1 vertices, with no twin skipping. The certificate is the package's;
-    only the choice of extensions is independent."""
+    n - 1 vertices, with no twin skipping and no least-degree deletion rule.
+    The certificate is the package's; only the choice of extensions is
+    independent."""
     if n == 1:
         return (0,)
     pairs = list(itertools.combinations(range(n - 1), 2))

@@ -5,9 +5,10 @@ import networkx as nx
 import pytest
 
 from bruteforce import plain_extension_masks
-from domblocker import GraphError
+from domblocker import GraphError, smallgraphs
 from domblocker.smallgraphs import (
     _canonical_masks,
+    _least_degree_deletion,
     connected_graphs,
     connected_graphs_upto,
     random_connected_graph,
@@ -30,6 +31,14 @@ def _to_nx(g):
 def _invariant(h):
     # each vertex's degree with its neighbours' degrees, as a sorted sequence
     return tuple(sorted((h.degree(v), tuple(sorted(h.degree(u) for u in h[v]))) for v in h))
+
+
+def _rows(n, edges):
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 def _buckets(graphs):
@@ -75,6 +84,32 @@ class TestEnumeration:
     def test_twin_skipping_lists_the_plain_extension(self):
         for n in range(1, 8):
             assert _canonical_masks(n) == plain_extension_masks(n)
+
+    def test_certificates_per_size(self, monkeypatch):
+        # a candidate reaches the certificate only if its new vertex is a
+        # non-cut vertex of least degree (0, 1, 2, 8, 53, 417, 4,818 without)
+        calls = []
+        certificate = smallgraphs._certificate
+        monkeypatch.setattr(
+            smallgraphs, "_certificate", lambda n, adj: calls.append(n) or certificate(n, adj)
+        )
+        _canonical_masks.cache_clear()
+        _canonical_masks(7)
+        assert [calls.count(n) for n in range(1, 8)] == [0, 1, 2, 6, 27, 174, 1590]
+
+    def test_least_degree_deletion_passes_over_cut_vertices(self):
+        # K4 - x - K4: x (vertex 3) has the least degree, 2, but is a cut
+        # vertex, so a degree-3 vertex is the least non-cut deletion. In no
+        # connected graph with n <= 8 are all least-degree vertices cut
+        # vertices, so no count through n = 8 sees the connectivity test
+        left, right = (8, 1, 2, 0), (4, 5, 6, 7)
+        edges = [(3, 0), (3, 4)]
+        edges += [(a, b) for k in (left, right) for i, a in enumerate(k) for b in k[i + 1 :]]
+        assert _least_degree_deletion(9, _rows(9, edges))
+        # the same graph with a degree-4 vertex (joined to x) as the new one
+        swap = {0: 8, 8: 0}
+        swapped = [(swap.get(a, a), swap.get(b, b)) for a, b in edges]
+        assert not _least_degree_deletion(9, _rows(9, swapped))
 
     def test_out_of_range(self):
         with pytest.raises(GraphError):
