@@ -192,6 +192,16 @@ class TestSolve:
         )
         assert result.output == (GOLDEN / "solve_c6_blocker.json").read_text()
 
+    def test_golden_gamma_of_a_satisfiable_build(self, runner, tmp_path):
+        # γ and its witness on the 96-vertex build of gen -n 6 --seed 1, from
+        # the generator through the builder to the solver
+        cnf, build = tmp_path / "nv6.cnf", tmp_path / "nv6.json"
+        assert runner.invoke(main, ["gen", "-n", "6", "--seed", "1", "-o", str(cnf)]).exit_code == 0
+        assert runner.invoke(main, ["build", "--target", "subcubic", "-i", str(cnf), "-o", str(build)]).exit_code == 0
+        result = runner.invoke(main, ["solve", "--format", "json", "-i", str(build), "--what", "gamma"])
+        assert result.exit_code == 0
+        assert result.output == (GOLDEN / "solve_gamma_n6_seed1.json").read_text()
+
     def test_p4_one_contraction(self, runner):
         result = runner.invoke(
             main, ["solve", "--what", "one-contraction"], input=emit_graph6(path_graph(4)) + "\n"
