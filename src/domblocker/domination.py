@@ -19,6 +19,19 @@ irredundant (each pick that the other kept picks make redundant is dropped),
 which is often γ itself, so the search mostly proves the optimum rather than
 finding it.
 
+The greedy is the lazy evaluation of Minoux's accelerated greedy (1978). A
+pick's gain |N[v] ∩ und| only falls as und shrinks, so each vertex waits in
+the level of the gain it was last seen to have, every vertex starting at
+``width``, and only the lowest vertex of the top level has its gain
+recomputed: it is taken when the gain still equals its level, since no
+other vertex can then gain more or tie it with a lower id, and it moves
+down to its gain otherwise. The picks are those of a scan of every vertex
+per pick (the largest gain, the lowest id on ties), at a few recomputations
+a pick. The irredundance walk reads one mask of the vertices that two kept
+picks or more cover: a pick is redundant iff its closed neighbourhood lies
+inside it. The mask grows as the picks are made and is rebuilt only after
+a drop. ``tests/bruteforce.py`` keeps the scan as the reference.
+
 The optimizer has one entry, ``_Optimizer.forced(mask, limit)``: can the
 vertices of mask be completed to a dominating set of at most limit vertices?
 It returns the smallest such set or None, and every set the search passes
@@ -108,9 +121,10 @@ Grandoni & Kratsch, J. ACM 2009), so each is an intersection of at most
 ``width`` masks: the available x whose coverage contains N[y] ∩ und are
 avail ANDed with N[z] for every z of N[y] ∩ und, and the undominated v
 whose live dominators contain N[u] ∩ avail are und ANDed with N[x] for
-every x of N[u] ∩ avail. The two-hop masks, ``width`` and the lcm units
-are built once per graph and kept with it (``LabeledGraph.search_setup``),
-so every search of one graph shares them.
+every x of N[u] ∩ avail. The two-hop masks, ``width``, the lcm units and
+the root marks are built once per graph, in one pass over its vertices, and
+kept with it (``LabeledGraph.search_setup``), so every search of one graph
+shares them.
 Sparse masks (a branch set, a component frontier, a solution) go through
 the graphs module's ``_bits`` generator, which costs per set bit rather than
 per bit position. Every walk keeps ascending order where order matters, so the
@@ -145,9 +159,16 @@ at d marks the two-hop mask of d for all of N[d], and no dominator, since
 it clears every undominated vertex whose live set it shrinks). No rule can
 make itself fire again (candidate dominance clears only avail, element
 dominance only und), so each walk reads its marks once, when it starts,
-and visits them in ascending order. The root starts fully marked; a child
-starts marked only where the bits it lost since its parent's fixpoint can
-act.
+and visits them in ascending order. A child starts marked only where the
+bits it lost since its parent's fixpoint can act. A state reduced without
+a parent starts fully marked, except the root of the γ search and of the
+enumerator, where every vertex is undominated and available. There a rule
+can fire only at a vertex of ``root`` (``LabeledGraph.search_setup``): a
+forced take needs |N[v]| = 1, and both dominance rules compare whole
+closed neighbourhoods, N[y] ⊆ N[x], so the root starts marked at the
+isolated vertices and at those whose closed neighbourhood lies inside
+another vertex's. On the subcubic builds there are none, and the root
+``reduce`` checks nothing.
 
 The search tree is that of full passes over every vertex. Within one
 walk, "dominates" (a superset, or an equal set and the lower id) is
@@ -181,10 +202,13 @@ table keeps γ of every labeled graph met and the every-MDS decisions
 (``all_efficient_md``, ``all_independent_md``), keyed by the graph's closed
 neighbourhood masks, so no labeled graph is solved or enumerated twice: not
 the input graph, not a contraction at any depth of ``ct_definitional``, and
-not a graph that two corpus graphs share as a contraction. Only results of
-identical labeled graphs are shared; each kind of question still runs its
-own code path (the contraction search compares γ values, the deciders
-read the γ witness and the counting certificate, and then enumerate).
+not a graph that two corpus graphs share as a contraction. It keeps
+``ct_definitional``'s answer (k, edges) the same way, so the two corpus
+claims of ``verify``, which both ask it of every graph, search each graph's
+contractions once. Only results of identical labeled graphs are shared;
+each kind of question still runs its own code path (the contraction search
+compares γ values, the deciders read the γ witness and the counting
+certificate, and then enumerate).
 
 A decider asks whether every minimum dominating set satisfies a predicate,
 efficiency or independence. The γ witness is one, so the decider checks it
@@ -322,35 +346,47 @@ class _Search:
 
     def __init__(self, g: LabeledGraph, table: Optional[GammaTable]):
         self.nb = g.closed_masks
-        self.n = g.n
         self.full = (1 << g.n) - 1
         self.tick = (GammaTable() if table is None else table).tick
-        self.two, self.width, self.units = g.search_setup
+        self.two, self.width, self.units, self.root = g.search_setup
 
     def greedy_cover(self) -> int:
         """Greedy max-coverage dominating set made irredundant, as a mask; the
         initial upper bound.
 
-        The picks are walked in pick order, and each one whose closed
-        neighbourhood the picks still kept cover without it is dropped.
+        Each pick has the largest gain |N[v] ∩ und|, the lowest id on ties,
+        found by lazy levels: ``level[c]`` holds the vertices whose gain was
+        last seen to be c. The picks are then walked in pick order, and each
+        one whose closed neighbourhood lies inside ``twice``, the vertices
+        that two kept picks or more cover, is dropped (the module docstring).
         Dropping only shrinks what the others cover, so a pick kept stays
         needed: no member can leave the result without a vertex going
         undominated."""
         nb = self.nb
-        und = self.full
+        und, twice = self.full, 0
+        top = self.width
+        level = [0] * top + [und]
         chosen = []
         while und:
-            best_v, best_gain = -1, 0
-            for v in range(self.n):
-                gain = (nb[v] & und).bit_count()
-                if gain > best_gain:
-                    best_gain, best_v = gain, v
-            chosen.append(best_v)
-            und &= ~nb[best_v]
+            while not level[top]:
+                top -= 1
+            v = (level[top] & -level[top]).bit_length() - 1
+            level[top] ^= 1 << v
+            gain = (nb[v] & und).bit_count()
+            if gain == top:
+                chosen.append(v)
+                twice |= nb[v] & ~und
+                und &= ~nb[v]
+            else:
+                level[gain] |= 1 << v  # level 0 is never read
         kept = sum(1 << v for v in chosen)
         for v in chosen:
-            if not nb[v] & ~_union(nb, kept & ~(1 << v)):
-                kept &= ~(1 << v)
+            if not nb[v] & ~twice:
+                kept ^= 1 << v
+                twice = once = 0
+                for w in _bits(kept):
+                    twice |= once & nb[w]
+                    once |= nb[w]
         return kept
 
     def reduce(
@@ -367,13 +403,16 @@ class _Search:
         undominated vertex has no available dominator. ``since`` is
         the (und, avail) of a fixpoint of this search that the state was cut
         from by clearing bits; then only the vertices those bits can make
-        fire start marked. With ``since`` None every vertex does.
+        fire start marked. With ``since`` None every vertex does, except at
+        the root (every vertex undominated and available), which starts
+        marked at ``root``.
         """
         nb = self.nb
         two = self.two
         candidate_dominance = not self.solution_preserving
         if since is None:
-            mark_forced = mark_candidate = mark_element = self.full
+            start = self.root if und & avail == self.full else self.full
+            mark_forced = mark_candidate = mark_element = start
         else:
             mark_forced = mark_element = _union(nb, since[1] & ~avail)
             mark_candidate = _union(nb, since[0] & ~und) if candidate_dominance else 0
@@ -460,7 +499,7 @@ class _Search:
         for v in _bit_list(und):
             live = nb[v] & avail
             if not live:
-                return self.n + 1, 0  # this vertex can never be dominated
+                return len(self.nb) + 1, 0  # this vertex can never be dominated
             buckets[live.bit_count()].append(live)
         blocked = 0
         packed = 0
@@ -724,7 +763,9 @@ class GammaTable:
     enumeration finds first.
     ``solve_masks`` asks by the key itself, so the contraction searches
     keep no graphs: a hit builds none, and a miss builds one with ``PLAIN``
-    labels only to solve it.
+    labels only to solve it. ``ct_definitional``'s answers are kept by the
+    same key; a hit returns the stored answer without a search, and a
+    ``BudgetExceeded`` stores none.
     """
 
     def __init__(self, budget: Optional[int] = None):
@@ -732,6 +773,7 @@ class GammaTable:
         self.nodes = 0
         self._results: dict[tuple[int, ...], GammaResult] = {}
         self._decisions: dict[tuple[Callable, tuple[int, ...]], Decision] = {}
+        self._contractions: dict[tuple[int, ...], tuple] = {}  # ct_definitional's answers
         # one object per distinct result: small graphs repeat a few witnesses
         self._shared: dict = {}
 
@@ -876,9 +918,17 @@ def ct_definitional(
     edge (u, v), u < v, names vertices of the graph the earlier contractions
     left, numbered as ``contract_masks`` numbers them. Returns
     (CT_IMPOSSIBLE, ()) when gamma(g) = 1 (no contraction sequence can ever
-    help) or when no sequence of at most three succeeds.
+    help) or when no sequence of at most three succeeds. The table keeps
+    the answer per adjacency, so asking again searches nothing.
     """
     table = _connected_table(g, table, "contraction search")
+    if g.closed_masks not in table._contractions:
+        table._contractions[g.closed_masks] = _contraction_search(g, table)
+    return table._contractions[g.closed_masks]
+
+
+def _contraction_search(g: LabeledGraph, table: GammaTable) -> tuple:
+    """``ct_definitional``'s search, run on a miss of the table."""
     gamma = table.solve(g).gamma
     if gamma == 1:
         return CT_IMPOSSIBLE, ()

@@ -75,6 +75,9 @@ class SearchSetup(NamedTuple):
     two: tuple[int, ...]  # closed two-hop masks
     width: int  # the largest closed neighbourhood
     units: tuple[int, ...]  # units[c] = lcm(1..width) // c; units[0] = 0
+    # the vertices where a reduction can fire with every vertex undominated
+    # and available: v isolated, or N[v] inside N[x] for some x != v
+    root: int
 
 
 class GraphError(ValueError):
@@ -161,15 +164,23 @@ class LabeledGraph:
         the searches of one graph share it."""
         nb = self.closed_masks
         two = []
-        for m in nb:
-            reach = 0
-            for w in _bits(m):
-                reach |= nb[w]
+        root = 0
+        for v, m in enumerate(nb):
+            # common: the x with N[v] inside N[x], v among them
+            reach, common, rest = 0, m, m
+            while rest:
+                low = rest & -rest
+                x = nb[low.bit_length() - 1]
+                reach |= x
+                common &= x
+                rest ^= low
             two.append(reach)
-        width = self.max_degree() + 1
+            if common != 1 << v or m == 1 << v:
+                root |= 1 << v
+        width = max(map(int.bit_count, nb), default=1)
         lcm = math.lcm(*range(1, width + 1))
         units = (0,) + tuple(lcm // c for c in range(1, width + 1))
-        return SearchSetup(tuple(two), width, units)
+        return SearchSetup(tuple(two), width, units, root)
 
     # -- pure operations ---------------------------------------------------
 

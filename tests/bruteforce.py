@@ -3,11 +3,14 @@
 Deliberately written against the plain set-based definitions (no bitmasks, no
 pruning) so they share no code path with the package implementations they
 check. Graphs here are neighbour-set tuples (``g.adj``, or the ``set_*``
-operations), the reference for the closed-mask representation. Two
+operations), the reference for the closed-mask representation. Three
 exceptions: the reference listing shares the canonical certificate and
-checks only which extensions the listing skips, and
-``contract_tracked`` contracts with ``LabeledGraph.contract_edge``, since
-what it tests is that contracting an edge set gives one graph in every order.
+checks only which extensions the listing skips; ``contract_tracked``
+contracts with ``LabeledGraph.contract_edge``, since what it tests is that
+contracting an edge set gives one graph in every order; and
+``reference_greedy`` is the γ search's first incumbent as a scan of every
+vertex over closed masks, since what it tests is that the search's lazy
+levels pick what the scan picks.
 """
 
 import itertools
@@ -256,6 +259,44 @@ def reference_reduce(g: LabeledGraph, und, avail, solution_preserving=False):
                 und.discard(v)
                 changed = True
     return forced, und, avail
+
+
+def reference_root(g: LabeledGraph) -> set:
+    """The vertices where a reduction can fire with every vertex undominated
+    and available: v is isolated, or N[v] lies inside N[x] for some x != v."""
+    return {
+        v
+        for v in range(g.n)
+        if not g.adj[v]
+        or any(closed_neighborhood(g, v) <= closed_neighborhood(g, x) for x in range(g.n) if x != v)
+    }
+
+
+def reference_greedy(g: LabeledGraph) -> int:
+    """The γ search's first incumbent, as a mask, by a scan of every vertex
+    per pick: the largest gain |N[v] ∩ und|, the lowest id on ties, until
+    nothing is undominated; then the picks in pick order, each dropped when
+    the picks still kept cover its closed neighbourhood without it."""
+    nb = g.closed_masks
+    und = (1 << g.n) - 1
+    chosen = []
+    while und:
+        best_v, best_gain = -1, 0
+        for v in range(g.n):
+            gain = (nb[v] & und).bit_count()
+            if gain > best_gain:
+                best_gain, best_v = gain, v
+        chosen.append(best_v)
+        und &= ~nb[best_v]
+    kept = sum(1 << v for v in chosen)
+    for v in chosen:
+        others = 0
+        for w in chosen:
+            if w != v and kept >> w & 1:
+                others |= nb[w]
+        if not nb[v] & ~others:
+            kept &= ~(1 << v)
+    return kept
 
 
 def reference_lower_bound(g: LabeledGraph, und, avail):

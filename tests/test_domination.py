@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import json
 import math
@@ -49,9 +50,11 @@ from bruteforce import (
     closed_neighborhood,
     contract_tracked,
     dominates,
+    reference_greedy,
     reference_lower_bound,
     reference_perfect,
     reference_reduce,
+    reference_root,
     set_contraction,
     set_edge_list,
     set_relabel,
@@ -97,6 +100,36 @@ def oracle_corpus():
     for i in range(30):
         n = 8 + i % 12
         yield f"degree23#{i}(n={n})", random_degree23_graph(n, rng)
+
+
+@functools.cache
+def setup_corpus():
+    """(kind, name, graph) for the greedy cover and the root marks: every
+    connected graph with n <= 7, random and degree-{2,3} graphs, subcubic
+    builds at nv 3..12 (seeds 1..5), P7-free builds, the complete graphs
+    K1..K7, a disconnected graph with two isolated vertices and a graph whose
+    greedy cover drops two picks."""
+    corpus = [("connected", f"connected#{i}", g) for i, g in enumerate(connected_graphs_upto(7))]
+    rng = random.Random(3303)
+    for i in range(40):
+        corpus.append(("random", f"random#{i}", random_connected_graph(8 + i % 20, rng)))
+        corpus.append(("random", f"degree23#{i}", random_degree23_graph(12 + i % 20, rng)))
+    for nv in range(3, 13):
+        for seed in range(1, 6):
+            corpus.append(("subcubic", f"subcubic nv={nv} seed={seed}", build_subcubic(gen_1in3(nv, seed))[0]))
+    for nv in (3, 4, 5, 6):
+        for seed in range(4):
+            corpus.append(("p7free", f"p7free nv={nv} seed={seed}", build_p7free(gen_3sat(nv, nv + seed, seed))[0]))
+    corpus += [("complete", f"K{n}", complete_graph(n)) for n in range(1, 8)]
+    corpus.append(("disconnected", "P3 + K1 + K2 + K1", LabeledGraph.from_edges(7, [(0, 1), (1, 2), (4, 5)])))
+    # the greedy picks 10, 1, 2, 6 here and drops 10; 1 or 2 is redundant
+    # only while 10 still counts, so a drop must rebuild what covers twice
+    edges = [
+        (0, 4), (0, 5), (0, 6), (0, 8), (0, 10), (1, 4), (1, 5), (1, 9), (1, 10), (2, 3), (2, 5), (2, 8),
+        (2, 9), (3, 8), (3, 9), (3, 10), (4, 6), (5, 9), (5, 10), (6, 7), (6, 10), (8, 9), (8, 10),
+    ]
+    corpus.append(("drops", "two drops", LabeledGraph.from_edges(11, edges)))
+    return corpus
 
 
 def grid_graph(rows, cols):
@@ -470,6 +503,18 @@ class TestGreedyCover:
             assert is_dominating(g, members), name
             for v in members:
                 assert not is_dominating(g, members - {v}), (name, v)
+
+    def test_lazy_levels_pick_as_the_scan(self):
+        # the scan of every vertex per pick is the reference: the largest
+        # gain, the lowest id on ties, then the irredundance walk
+        kinds = collections.Counter()
+        for kind, name, g in setup_corpus():
+            assert domination._Search(g, None).greedy_cover() == reference_greedy(g), name
+            kinds[kind] += 1
+        assert kinds == {
+            "connected": 996, "random": 80, "subcubic": 50, "p7free": 16, "complete": 7, "disconnected": 1,
+            "drops": 1,
+        }
 
 
 class TestForced:
@@ -849,6 +894,46 @@ class TestGammaTable:
         assert ct_definitional(c6, table=table) == answer
         assert len(built) == searched
 
+    # a 12-cycle with the chord 6-8: γ takes no node and the contraction
+    # search one, so a budget of 0 runs out inside the search
+    CHORDED = LabeledGraph.from_edges(12, [(v, (v + 1) % 12) for v in range(12)] + [(6, 8)])
+
+    @pytest.fixture
+    def contraction_searches(self, monkeypatch):
+        searched = []
+        search = domination._contraction_search
+
+        def counted(g, table):
+            searched.append(g.closed_masks)
+            return search(g, table)
+
+        monkeypatch.setattr(domination, "_contraction_search", counted)
+        return searched
+
+    def test_contraction_hit_returns_what_a_miss_returns(self, contraction_searches, c6):
+        relabeled = LabeledGraph.from_edges(c6.n, c6.edges(), [VertexLabel("clause", clause=0)] * c6.n)
+        p7 = path_graph(7)
+        for g, twin in ((c6, relabeled), (self.CHORDED, self.CHORDED), (p7, p7)):
+            table = GammaTable()
+            answer = ct_definitional(g, table)
+            nodes = table.nodes
+            assert ct_definitional(twin, table) is answer
+            assert table.nodes == nodes
+            assert ct_definitional(twin, GammaTable()) == answer  # a miss on a fresh table
+        # each graph is searched twice: into its table, then on a fresh one
+        assert contraction_searches == [g.closed_masks for g in (c6, c6, self.CHORDED, self.CHORDED, p7, p7)]
+
+    def test_a_spent_budget_stores_no_contraction_answer(self, contraction_searches):
+        g = self.CHORDED
+        table = GammaTable(budget=0)
+        with pytest.raises(BudgetExceeded):
+            ct_definitional(g, table)
+        table.budget = None
+        answer = ct_definitional(g, table)
+        assert answer == ct_definitional(g, GammaTable()) and answer[0] == 2
+        assert ct_definitional(g, table) is answer
+        assert len(contraction_searches) == 3  # refused, stored, fresh table
+
 
 class TestSearchTrees:
     """The search visits the same nodes in the same order on fixed graphs.
@@ -1088,6 +1173,28 @@ class TestIncrementalReduce:
                 )
                 children += 1
         assert children >= 500
+
+
+class TestRootMarks:
+    """With every vertex undominated and available a reduction can fire only
+    at ``search_setup.root``, so ``reduce`` starts marked there alone."""
+
+    def test_root_is_its_definition(self):
+        for kind, name, g in setup_corpus():
+            root = g.search_setup.root
+            assert set(_bits(root)) == reference_root(g), name
+            if kind == "subcubic":
+                assert root == 0, name
+            elif kind in ("p7free", "complete"):
+                assert root != 0, name
+
+    @pytest.mark.parametrize("kind", sorted(TestIncrementalReduce.SEARCHES))
+    def test_the_root_reduce_is_the_full_pass(self, kind):
+        for _, name, g in setup_corpus():
+            search = TestIncrementalReduce.SEARCHES[kind](g)
+            ref = reference_reduce(g, range(g.n), range(g.n), search.solution_preserving)
+            expected = None if ref is None else tuple(TestIncrementalReduce.as_mask(part) for part in ref)
+            assert search.reduce(search.full, search.full) == expected, name
 
 
 class TestPerfectRegime:
